@@ -13,7 +13,6 @@ from .datagen import RNG_NAME, GenSpec, generate
 from .errors import (
     ConstantRow,
     DomainError,
-    DowndateBreaksPD,
     InvalidConfig,
     InvalidSpec,
     NoConvergenceWarning,
@@ -32,7 +31,7 @@ from .gammafn import (
     log_multigamma_ratio,
 )
 from .io import CsvTable, read_csv, write_csv
-from .linalg import CholFactor, cholesky, log_det, rank1_update, spectral_norm
+from .linalg import CholFactor, cholesky, log_det, spectral_norm
 from .niw import (
     ClusterView,
     NiwPrior,
@@ -71,7 +70,6 @@ __all__ = [
     "generate",
     "ConstantRow",
     "DomainError",
-    "DowndateBreaksPD",
     "InvalidConfig",
     "InvalidSpec",
     "NoConvergenceWarning",
@@ -92,7 +90,6 @@ __all__ = [
     "CholFactor",
     "cholesky",
     "log_det",
-    "rank1_update",
     "spectral_norm",
     "ClusterView",
     "NiwPrior",

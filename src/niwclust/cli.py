@@ -27,7 +27,6 @@ from .datagen import RNG_NAME, GenSpec, generate
 from .errors import (
     ConstantRow,
     DomainError,
-    DowndateBreaksPD,
     InvalidConfig,
     InvalidSpec,
     NotPositiveDefinite,
@@ -542,7 +541,6 @@ def main(argv=None) -> int:
     except (
         DomainError,
         NotPositiveDefinite,
-        DowndateBreaksPD,
         ConstantRow,
         FloatingPointError,
         OverflowError,

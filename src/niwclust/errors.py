@@ -5,10 +5,6 @@ class NotPositiveDefinite(ValueError):
     """Matrix is not numerically positive definite."""
 
 
-class DowndateBreaksPD(ValueError):
-    """Rank-1 downdate would destroy positive definiteness."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematically supported domain."""
 

@@ -3,9 +3,8 @@
 Every determinant in this package is eventually raised to a power of
 order (nu0 + n) / 2, which overflows raw determinants already at a few
 hundred dimensions.  All determinant work therefore goes through
-Cholesky factors and stays in log space.  The module also provides
-rank-1 factor updates and a power-iteration spectral norm for the
-projector diagnostics.
+Cholesky factors and stays in log space.  The module also provides a
+power-iteration spectral norm for the projector diagnostics.
 """
 
 import warnings
@@ -14,13 +13,12 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
 
-from .errors import DowndateBreaksPD, NoConvergenceWarning, NotPositiveDefinite
+from .errors import NoConvergenceWarning, NotPositiveDefinite
 
 __all__ = [
     "CholFactor",
     "cholesky",
     "log_det",
-    "rank1_update",
     "spectral_norm",
 ]
 
@@ -50,9 +48,7 @@ class CholFactor:
 
     Notes
     -----
-    Instances are safe to share read-only; the update operation returns a
-    new factor instead of mutating in place, so a factor never changes
-    under a reader's feet unless the caller explicitly reuses names.
+    Instances are safe to share read-only: no method mutates the factor.
     """
 
     __slots__ = ("lower", "dim")
@@ -119,45 +115,6 @@ def log_det(m) -> float:
     The raw determinant is never formed.
     """
     return cholesky(m).log_det()
-
-
-def rank1_update(f: CholFactor, v, sign: int = 1) -> CholFactor:
-    """Factor of (L L^T + sign * v v^T) from the factor of L L^T.
-
-    Standard hyperbolic/Givens sweep over the columns of L; O(dim^2).
-
-    Parameters
-    ----------
-    f : CholFactor
-    v : (dim,) array_like
-    sign : {+1, -1}
-        +1 adds the outer product, -1 removes it (downdate).
-
-    Raises
-    ------
-    DowndateBreaksPD
-        If a downdate would make the matrix indefinite.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    lower = f.lower.copy()
-    x = np.array(v, dtype=float, copy=True)
-    if x.shape != (f.dim,):
-        raise ValueError(f"update vector has shape {x.shape}, factor dim {f.dim}")
-    n = f.dim
-    for k in range(n):
-        lkk = lower[k, k]
-        r2 = lkk * lkk + sign * x[k] * x[k]
-        if r2 <= 0.0 or not np.isfinite(r2):
-            raise DowndateBreaksPD(f"pivot {k} would become {r2:.3e}")
-        r = np.sqrt(r2)
-        c = r / lkk
-        s = x[k] / lkk
-        lower[k, k] = r
-        if k + 1 < n:
-            lower[k + 1 :, k] = (lower[k + 1 :, k] + sign * s * x[k + 1 :]) / c
-            x[k + 1 :] = c * x[k + 1 :] - s * lower[k + 1 :, k]
-    return CholFactor(lower)
 
 
 def spectral_norm(m) -> float:

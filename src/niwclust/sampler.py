@@ -11,8 +11,11 @@ weights are marginal-likelihood ratios
 normalized in log space with max-subtraction.  There is no separately
 coded predictive density; the weights come straight from the same
 marginal the rest of the package evaluates, via a per-chain cache of
-the transformed Gram matrix so that one weight costs O(n_c^3) after an
-O(n^2 p) setup.
+the transformed Gram matrix and of each cluster's inverse of I + G_c.
+After an O(n^2 p) setup, one weight costs O(n_c^2) (a bordered append)
+and removing a point O(1) (a Schur deletion); a memo answers repeated
+weights and all singleton candidates of a point are scored in one
+vectorised step.
 
 References
 ----------
@@ -20,12 +23,13 @@ References
    mixture models", JCGS 9(2), 2000.
 """
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import exp, log
-from typing import Optional
+from math import exp, inf, isfinite, log
+from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .errors import DomainError, InvalidConfig, NotPositiveDefinite
@@ -41,16 +45,53 @@ __all__ = [
     "run_chain",
 ]
 
-_MEMO_CAP = 1 << 20
+# The memo holds at most this many key indices in total (tuple slots of
+# 8 bytes each, about 32 MB), whatever the cluster sizes.
+_MEMO_BUDGET = 1 << 22
+
+_SCHUR_FLOOR = 1.0 - 1e-10
+
+
+def _drifted(schur: float) -> bool:
+    """A Schur complement of I + G is >= 1 in exact arithmetic, so a
+    smaller or non-finite one from an updated factor shows drift."""
+    return not _SCHUR_FLOOR <= schur < inf
+
+
+class _Factor(NamedTuple):
+    """Inverse of A = I + G_c for one cluster.
+
+    inv is A^-1 with rows and columns in the order of ``order``,
+    b = A^-1 1, s = 1^T b and log_det = log|A|.  An entry is never
+    mutated; an update builds a new one.
+    """
+
+    order: np.ndarray
+    inv: np.ndarray
+    b: np.ndarray
+    s: float
+    log_det: float
 
 
 class _ChainCache:
-    """Per-chain quantities for O(n_c^3) cluster marginal evaluation.
+    """Per-chain quantities for incremental cluster marginal evaluation.
 
-    Holds the Gram matrix of the transformed data and the size-indexed
+    Holds the Gram matrix G of the transformed data and the size-indexed
     part of the marginal (gamma ratio, kappa power, pi power, Lambda0
-    determinant), so a cluster's log marginal needs only the |I + G|
-    factorization of its own Gram block.
+    determinant), so a cluster's log marginal needs only log|I + G_c|
+    and 1^T (I + G_c)^-1 1.  Those come from ``factors``, keyed by the
+    member tuple of every current cluster of two or more points.  Adding
+    a point to a cluster is a bordered append to its ``_Factor``,
+    O(n_c^2); removing one is a Schur deletion, O(1) for the marginal.
+    A memo keyed by member tuple answers repeated evaluations.
+
+    Moving a point between clusters does not touch the factors at once:
+    the store records (base factor, pending moves) and replays the moves
+    when an evaluation next needs that cluster's factor, so chains that
+    live on memo hits do no factor work.  A record whose pending moves
+    outnumber its members has its base dropped (None) and is rebuilt
+    from its Gram block instead.  Records are never mutated, so copying
+    the dict snapshots the store.
     """
 
     def __init__(self, data: np.ndarray, prior: NiwPrior):
@@ -61,8 +102,22 @@ class _ChainCache:
             raise DomainError(
                 f"marginals need nu0 >= p, got nu0={prior.nu0}, p={p}"
             )
-        ytilde = transform_data(data, prior)
-        self.gram = ytilde @ ytilde.T
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            r, c = bad[0]
+            raise DomainError(
+                f"data row {r + 1}, column {c + 1} is {data[r, c]}; "
+                "observations must be finite"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            ytilde = transform_data(data, prior)
+            self.gram = ytilde @ ytilde.T
+        bad = np.flatnonzero(~np.isfinite(self.gram).all(axis=1))
+        if bad.size:
+            raise DomainError(
+                f"data row {bad[0] + 1} overflows the Gram matrix; "
+                "rescale the data"
+            )
         self.kappa0 = prior.kappa0
         self.nu0 = prior.nu0
         sizes = np.arange(1, n + 1, dtype=float)
@@ -79,34 +134,212 @@ class _ChainCache:
                 - sizes / 2.0 * prior.lambda0_log_det,
             ]
         )
+        self._diag = self.gram.diagonal().copy()
+        one = 1.0 + self._diag
+        self.single = self._value(1, np.log(one), 1.0 / one).tolist()
+        self.factors: dict = {}
         self._memo: dict = {}
+        self._memo_size = 0
 
-    def log_marginal(self, idx: tuple) -> float:
-        if not idx:
-            return 0.0
-        value = self._memo.get(idx)
-        if value is None:
-            value = self._compute(idx)
-            if len(self._memo) >= _MEMO_CAP:
-                self._memo.clear()
-            self._memo[idx] = value
-        return value
+    def _value(self, nh, log_det, s):
+        """Log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1."""
+        log_sf = np.log((self.kappa0 + s) / (nh + self.kappa0))
+        return self._size_const[nh] - (self.nu0 + nh) / 2.0 * (log_sf + log_det)
 
-    def _compute(self, idx: tuple) -> float:
+    def _remember(self, keys: list, values: list) -> None:
+        size = sum(map(len, keys))
+        if self._memo_size + size > _MEMO_BUDGET:
+            self._memo.clear()
+            self._memo_size = 0
+        self._memo.update(zip(keys, values))
+        self._memo_size += size
+
+    # ---------------------------------------------------------- factors
+
+    def _build(self, idx: tuple) -> _Factor:
+        """Factor of idx from one Cholesky factor of its Gram block."""
         ii = np.asarray(idx, dtype=np.intp)
-        nh = ii.size
-        a = self.gram[ii[:, None], ii] + np.eye(nh)
+        a = self.gram[ii[:, None], ii] + np.eye(ii.size)
         try:
             lower = np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - G is PSD
             raise NotPositiveDefinite(str(exc)) from None
-        log_det_gram = 2.0 * float(np.log(lower.diagonal()).sum())
-        z = np.linalg.solve(lower, np.ones(nh))
-        quad = float(z @ z)
-        log_sf = log((self.kappa0 + quad) / (nh + self.kappa0))
-        return float(
-            self._size_const[nh] - (self.nu0 + nh) / 2.0 * (log_sf + log_det_gram)
+        lower_inv = solve_triangular(
+            lower, np.eye(ii.size), lower=True, check_finite=False
         )
+        z = lower_inv.sum(axis=1)
+        return _Factor(
+            ii,
+            lower_inv.T @ lower_inv,
+            lower_inv.T @ z,
+            float(z @ z),
+            2.0 * float(np.log(lower.diagonal()).sum()),
+        )
+
+    def _border(self, f: _Factor, i: int):
+        """(Schur complement, f, v, t) for appending i to f's cluster."""
+        g = self.gram[i, f.order]
+        v = f.inv @ g
+        return 1.0 + self._diag[i] - float(g @ v), f, v, 1.0 - float(f.b @ g)
+
+    @staticmethod
+    def _deletion(f: _Factor, i: int):
+        """(Schur complement, f, position of i, (A^-1)_ii) for deleting i."""
+        pos = int(np.flatnonzero(f.order == i)[0])
+        d = float(f.inv[pos, pos])
+        return (1.0 / d if d > 0.0 else -inf), f, pos, d
+
+    @staticmethod
+    def _appended(schur, f, v, t, i) -> _Factor:
+        m = v.size
+        inv = np.empty((m + 1, m + 1))
+        inv[:m, :m] = f.inv + np.outer(v, v / schur)
+        inv[m, :m] = inv[:m, m] = -v / schur
+        inv[m, m] = 1.0 / schur
+        return _Factor(
+            np.append(f.order, i),
+            inv,
+            np.append(f.b - v * (t / schur), t / schur),
+            f.s + t * t / schur,
+            f.log_det + log(schur),
+        )
+
+    @staticmethod
+    def _deleted(schur, f, pos, d) -> _Factor:
+        col = np.delete(f.inv[pos], pos)
+        return _Factor(
+            np.delete(f.order, pos),
+            np.delete(np.delete(f.inv, pos, 0), pos, 1) - np.outer(col, col / d),
+            np.delete(f.b, pos) - col * (f.b[pos] / d),
+            f.s - f.b[pos] ** 2 / d,
+            f.log_det + log(d),
+        )
+
+    def _factor(self, idx: tuple) -> _Factor:
+        """Factor of current cluster idx, with its pending moves applied."""
+        f = self.factors[idx]
+        if isinstance(f, _Factor):
+            return f
+        f, moves = f
+        for j, added in moves:
+            out = self._border(f, j) if added else self._deletion(f, j)
+            if _drifted(out[0]):
+                f = None
+                break
+            f = self._appended(*out, j) if added else self._deleted(*out)
+        if f is None:
+            f = self._build(idx)
+        self.factors[idx] = f
+        return f
+
+    def _stable(self, idx: tuple, step):
+        """Apply step to idx's factor; rebuild the factor once on drift."""
+        out = step(self._factor(idx))
+        if _drifted(out[0]):
+            f = self.factors[idx] = self._build(idx)
+            out = step(f)
+            if not 0.0 < out[0] < inf:
+                raise NotPositiveDefinite(
+                    f"Schur complement {out[0]} in a cluster of {len(idx)}"
+                )
+        return out
+
+    def move(self, i: int, members: tuple, rest: tuple, target: tuple, key: tuple):
+        """Record that i left members (now rest) and joined target (now key)."""
+        if len(rest) > 1:
+            self.factors[rest] = self._defer(self.factors[members], i, False, len(rest))
+        if len(target) > 1:
+            self.factors[key] = self._defer(self.factors[target], i, True, len(key))
+        elif target:
+            self.factors[key] = (None, ())
+        self.factors.pop(members, None)
+        self.factors.pop(target, None)
+
+    @staticmethod
+    def _defer(record, i: int, added: bool, size: int):
+        base, moves = (record, ()) if isinstance(record, _Factor) else record
+        if base is None or len(moves) >= size:
+            return (None, ())
+        return (base, moves + ((i, added),))
+
+    # ------------------------------------------------------- marginals
+
+    def log_marginal(self, idx: tuple) -> float:
+        """Log marginal of a current cluster; adds it to the factors."""
+        if len(idx) == 1:
+            return self.single[idx[0]]
+        self.factors.setdefault(idx, (None, ()))
+        value = self._memo.get(idx)
+        if value is None:
+            value = self._factor_value(idx)
+            self._remember([idx], [value])
+        return value
+
+    def _factor_value(self, idx: tuple) -> float:
+        f = self._factor(idx)
+        return float(self._value(len(idx), f.log_det, f.s))
+
+    def removed(self, members: tuple, i: int):
+        """(members without i, its log marginal) for a current cluster."""
+        k = bisect_left(members, i)
+        rest = members[:k] + members[k + 1 :]
+        if len(rest) == 1:
+            return rest, self.single[rest[0]]
+        value = self._memo.get(rest)
+        if value is None:
+            _, f, pos, d = self._stable(members, lambda f: self._deletion(f, i))
+            value = float(
+                self._value(len(rest), f.log_det + log(d), f.s - f.b[pos] ** 2 / d)
+            )
+            self._remember([rest], [value])
+        return rest, value
+
+    def grown(self, i: int, idxs: list):
+        """Member tuples and log marginals of each cluster in idxs plus i.
+
+        The singleton clusters that miss the memo are scored together in
+        closed form from their 2 x 2 blocks.
+        """
+        keys, values, at, pairs = [], [], [], []
+        for idx in idxs:
+            if len(idx) == 1:
+                j = idx[0]
+                key = (j, i) if j < i else (i, j)
+                value = self._memo.get(key)
+                if value is None:
+                    at.append(len(keys))
+                    pairs.append(key)
+            else:
+                k = bisect_left(idx, i)
+                key = idx[:k] + (i,) + idx[k:]
+                value = self._memo.get(key)
+                if value is None:
+                    value = self._grow(idx, i, key)
+            keys.append(key)
+            values.append(value)
+        if at:
+            js = [idxs[k][0] for k in at]
+            a = 1.0 + self._diag[js]
+            c = 1.0 + self._diag[i]
+            g = self.gram[i, js]
+            det = a * c - g * g
+            scored = self._value(2, np.log(det), (a + c - 2.0 * g) / det).tolist()
+            for k, value in zip(at, scored):
+                values[k] = value
+            self._remember(pairs, scored)
+        return keys, values
+
+    def _grow(self, idx: tuple, i: int, key: tuple) -> float:
+        if key in self.factors:
+            # key is the cluster i was just taken out of
+            value = self._factor_value(key)
+        else:
+            schur, f, _, t = self._stable(idx, lambda f: self._border(f, i))
+            value = float(
+                self._value(len(key), f.log_det + log(schur), f.s + t * t / schur)
+            )
+        self._remember([key], [value])
+        return value
 
 
 @dataclass
@@ -203,45 +436,55 @@ def _canonicalize(state: SamplerState) -> None:
 def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     """One full sequential scan over the observations.
 
-    Numeric failures roll the state back to its value at sweep entry
-    before re-raising.  Labels are canonical on return.
+    Numeric failures, a non-finite reassignment weight among them, roll
+    the state back to its value at sweep entry (labels, clusters, log_ml,
+    the RNG and the chain's factors) before re-raising, so a retried
+    sweep draws what the failed one would have.  Labels are canonical
+    on return.
     """
     data = np.asarray(data, dtype=float)
     chain = state.chain
     if chain is None or (chain.data is not data and not np.array_equal(chain.data, data)):
         chain = state.chain = _ChainCache(data, state.prior)
+        chain.factors = {
+            idx: (None, ()) for idx in state.clusters.values() if len(idx) > 1
+        }
     labels = state.labels
     clusters = state.clusters
     log_ml = state.log_ml
     alpha = state.crp.alpha
     n = len(labels)
 
-    snapshot = (list(labels), dict(clusters), dict(log_ml))
+    snapshot = (
+        list(labels),
+        dict(clusters),
+        dict(log_ml),
+        dict(chain.factors),
+        state.rng.bit_generator.state,
+    )
     try:
         for i in range(n):
             h = labels[i]
             members = clusters[h]
             if len(members) == 1:
+                rest = ()
                 del clusters[h]
                 del log_ml[h]
             else:
-                rest = tuple(j for j in members if j != i)
+                rest, log_ml[h] = chain.removed(members, i)
                 clusters[h] = rest
-                log_ml[h] = chain.log_marginal(rest)
 
             candidates = sorted(clusters)
-            log_w = []
-            grown = []
-            for lab in candidates:
-                idx = clusters[lab]
-                with_i = list(idx)
-                insort(with_i, i)
-                with_i = tuple(with_i)
-                grown.append(with_i)
-                log_w.append(
-                    log(len(idx)) + chain.log_marginal(with_i) - log_ml[lab]
+            grown, values = chain.grown(i, [clusters[lab] for lab in candidates])
+            log_w = [
+                log(len(clusters[lab])) + value - log_ml[lab]
+                for lab, value in zip(candidates, values)
+            ]
+            log_w.append(log(alpha) + chain.single[i])
+            if not isfinite(sum(log_w)):
+                raise FloatingPointError(
+                    f"non-finite reassignment weight for observation {i}"
                 )
-            log_w.append(log(alpha) + chain.log_marginal((i,)))
 
             top = max(log_w)
             probs = [exp(w - top) for w in log_w]
@@ -255,16 +498,18 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                     break
             if pick < len(candidates):
                 lab = candidates[pick]
-                clusters[lab] = grown[pick]
-                log_ml[lab] = chain.log_marginal(grown[pick])
-                labels[i] = lab
+                target, key, value = clusters[lab], grown[pick], values[pick]
             else:
                 lab = max(clusters) + 1 if clusters else 1
-                clusters[lab] = (i,)
-                log_ml[lab] = chain.log_marginal((i,))
-                labels[i] = lab
+                target, key, value = (), (i,), chain.single[i]
+            if lab != h:
+                chain.move(i, members, rest, target, key)
+            clusters[lab] = key
+            log_ml[lab] = value
+            labels[i] = lab
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):
-        state.labels, state.clusters, state.log_ml = snapshot
+        (state.labels, state.clusters, state.log_ml, chain.factors,
+         state.rng.bit_generator.state) = snapshot
         raise
     _canonicalize(state)
     state.sweep_index += 1

@@ -143,6 +143,19 @@ def test_ragged_input_exits_4(tmp_path):
                  "--outdir", str(tmp_path)]) == 4
 
 
+def test_non_finite_input_exits_3(tmp_path, capsys):
+    data, _ = generate(GenSpec(kind="single_gaussian", n=8, p=50, seed=4))
+    data[2, 6] = np.nan
+    bad = tmp_path / "nan.csv"
+    write_csv(bad, data)
+    out = tmp_path / "fit"
+    assert main(["cluster", "--input", str(bad), "--sweeps", "10",
+                 "--burnin", "2", "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "row 3, column 7" in err
+    assert not (out / "co_clustering.csv").exists()
+
+
 def test_custom_prior_paths(tmp_path):
     data, _ = generate(GenSpec(kind="single_gaussian", n=6, p=5, seed=9))
     data_path = tmp_path / "d.csv"

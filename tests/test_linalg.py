@@ -1,12 +1,10 @@
-"""Cholesky plumbing: factorization, updates, determinants, norms."""
+"""Cholesky plumbing: factorization, determinants, norms."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from niwclust.errors import DowndateBreaksPD, NotPositiveDefinite
-from niwclust.linalg import CholFactor, cholesky, log_det, rank1_update, spectral_norm
+from niwclust.errors import NotPositiveDefinite
+from niwclust.linalg import cholesky, log_det, spectral_norm
 
 
 def random_spd(rng, dim, jitter=1.0):
@@ -50,40 +48,6 @@ def test_not_positive_definite_raises():
         cholesky(ones)  # rank 1, pivot collapses
 
 
-def test_rank1_update_matches_direct_factorization():
-    rng = np.random.default_rng(3)
-    for dim in (1, 2, 6, 15):
-        a = random_spd(rng, dim)
-        v = rng.standard_normal(dim)
-        up = rank1_update(cholesky(a), v, sign=1)
-        assert np.allclose(up.reconstruct(), a + np.outer(v, v),
-                           rtol=1e-10, atol=1e-10)
-
-
-def test_rank1_downdate_roundtrip():
-    rng = np.random.default_rng(4)
-    a = random_spd(rng, 7)
-    v = rng.standard_normal(7)
-    f = cholesky(a)
-    back = rank1_update(rank1_update(f, v, sign=1), v, sign=-1)
-    assert np.allclose(back.reconstruct(), a, rtol=1e-9, atol=1e-9)
-
-
-def test_downdate_breaking_pd_raises():
-    a = np.eye(2)
-    v = np.array([2.0, 0.0])  # removing 4 from the (0,0) pivot of 1
-    with pytest.raises(DowndateBreaksPD):
-        rank1_update(cholesky(a), v, sign=-1)
-
-
-def test_rank1_update_rejects_bad_inputs():
-    f = cholesky(np.eye(3))
-    with pytest.raises(ValueError):
-        rank1_update(f, np.ones(2))
-    with pytest.raises(ValueError):
-        rank1_update(f, np.ones(3), sign=2)
-
-
 def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(5)
     for shape in ((1, 1), (4, 4), (3, 10), (10, 3), (20, 20)):
@@ -94,22 +58,3 @@ def test_spectral_norm_matches_svd():
 
 def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((4, 6))) == 0.0
-
-
-@given(dim=st.integers(1, 6), seed=st.integers(0, 10 ** 6))
-@settings(max_examples=50, deadline=None)
-def test_update_then_logdet_consistent(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = random_spd(rng, dim, jitter=0.5)
-    v = rng.standard_normal(dim)
-    lhs = rank1_update(cholesky(a), v).log_det()
-    rhs = log_det(a + np.outer(v, v))
-    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-
-
-def test_chol_factor_is_not_mutated_by_update():
-    a = random_spd(np.random.default_rng(6), 5)
-    f = cholesky(a)
-    before = f.lower.copy()
-    rank1_update(f, np.ones(5))
-    assert np.array_equal(f.lower, before)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from niwclust import sampler
 from niwclust.datagen import GenSpec, generate
 from niwclust.errors import DomainError, InvalidConfig
 from niwclust.niw import (
@@ -13,7 +16,7 @@ from niwclust.niw import (
     robust_prior,
 )
 from niwclust.partition import CrpPrior, adjusted_rand_index
-from niwclust.sampler import init_state, run_chain
+from niwclust.sampler import gibbs_sweep, init_state, run_chain
 import oracles
 
 
@@ -135,3 +138,222 @@ def test_debug_consistency_checks_pass():
     # debug=True re-derives every cached marginal from scratch each sweep
     run_chain(data, prior, CrpPrior(1.5), sweeps=10, burnin=2, seed=21,
               debug=True)
+
+
+def _mixing_problem(n=40, p=3, seed=7):
+    # loosely separated groups under a weak prior: the chain keeps moving
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, p)) + rng.integers(0, 3, n)[:, None] * 1.0
+    return data, NiwPrior(np.zeros(p), 0.5, p + 2.0, 1.0)
+
+
+def _direct(data, prior, idx):
+    return cluster_log_marginal(ClusterView(data[list(idx)]), prior)
+
+
+def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
+    data, prior = _mixing_problem()
+    # a memo too small to answer anything sends every evaluation
+    # through the incrementally updated factors
+    monkeypatch.setattr(sampler, "_MEMO_BUDGET", data.shape[0])
+    counts = {"append": 0, "delete": 0}
+    cache = sampler._ChainCache
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return staticmethod(wrapper)
+
+    monkeypatch.setattr(cache, "_appended", counted("append", cache._appended))
+    monkeypatch.setattr(cache, "_deleted", counted("delete", cache._deleted))
+    state = init_state(data, prior, CrpPrior(1.0), 4, init="single")
+    while min(counts.values()) < 5000:
+        gibbs_sweep(state, data)
+    state.check_consistency(data)
+    chain = state.chain
+    assert state.k() > 1
+    assert set(chain.factors) == {idx for idx in state.clusters.values() if len(idx) > 1}
+    cached = [(idx, chain._factor_value(idx)) for idx in list(chain.factors)]
+    cached += list(chain._memo.items())
+    for idx, value in cached:
+        direct = _direct(data, prior, idx)
+        assert value == pytest.approx(direct, rel=1e-8)
+
+
+def test_batched_singleton_weights_match_per_candidate():
+    data, prior = _mixing_problem(n=12, p=30)
+    chain = sampler._ChainCache(data, prior)
+    for i in (0, 5, 11):
+        idxs = [(j,) for j in range(12) if j != i]
+        keys, values = chain.grown(i, idxs)
+        for key, value in zip(keys, values):
+            f = chain._build(key)
+            one_by_one = float(chain._value(2, f.log_det, f.s))
+            assert value == pytest.approx(one_by_one, rel=1e-12)
+            assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
+
+
+def test_memo_stays_within_index_budget(monkeypatch):
+    data, prior = _mixing_problem(n=12)
+    monkeypatch.setattr(sampler, "_MEMO_BUDGET", 40)
+    state = init_state(data, prior, CrpPrior(1.0), 2, init="single")
+    chain = state.chain
+    remember = chain._remember
+
+    def checked(keys, values):
+        remember(keys, values)
+        assert chain._memo_size == sum(len(k) for k in chain._memo) <= 40
+
+    monkeypatch.setattr(chain, "_remember", checked)
+    for _ in range(30):
+        gibbs_sweep(state, data)
+        # the factor store holds the current clusters and nothing else
+        assert set(chain.factors) == {
+            idx for idx in state.clusters.values() if len(idx) > 1
+        }
+    state.check_consistency(data)
+
+
+@given(seed=st.integers(0, 10 ** 6), steps=st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_factor_updates_match_direct_factorization(seed, steps):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((10, 6))
+    chain = sampler._ChainCache(data, NiwPrior(np.zeros(6), 1.0, 8.0, 2.0))
+    members = sorted(rng.choice(10, size=int(rng.integers(1, 10)), replace=False))
+    f = chain._build(tuple(members))
+    for _ in range(steps):
+        outside = sorted(set(range(10)) - set(members))
+        if outside and (len(members) == 1 or rng.random() < 0.5):
+            j = int(rng.choice(outside))
+            f = chain._appended(*chain._border(f, j), j)
+            members.append(j)
+        else:
+            j = int(rng.choice(members))
+            f = chain._deleted(*chain._deletion(f, j))
+            members.remove(j)
+        members.sort()
+        ref = chain._build(tuple(members))
+        perm = np.argsort(f.order)
+        assert np.array_equal(f.order[perm], ref.order)
+        assert np.allclose(f.inv[perm][:, perm], ref.inv, rtol=1e-9, atol=1e-12)
+        assert np.allclose(f.b[perm], ref.b, rtol=1e-9, atol=1e-12)
+        assert f.s == pytest.approx(ref.s, rel=1e-9)
+        assert f.log_det == pytest.approx(ref.log_det, rel=1e-9, abs=1e-9)
+
+
+def test_factor_is_not_mutated_by_update():
+    data, prior = _mixing_problem(n=8)
+    chain = sampler._ChainCache(data, prior)
+    f = chain._build((1, 3, 4, 6))
+    before = [a.copy() for a in (f.order, f.inv, f.b)] + [f.s, f.log_det]
+    chain._appended(*chain._border(f, 2), 2)
+    chain._deleted(*chain._deletion(f, 4))
+    after = [f.order, f.inv, f.b, f.s, f.log_det]
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
+
+
+def test_drifted_factor_is_rebuilt():
+    data, prior = _mixing_problem(n=8)
+    chain = sampler._ChainCache(data, prior)
+    members = (0, 2, 3, 5)
+    chain.log_marginal(members)
+    good = chain.factors[members]
+
+    # (A^-1)_ii = 2 means a Schur complement of 1/2 < 1: drift
+    chain.factors[members] = good._replace(inv=2.0 * np.eye(4))
+    rest, value = chain.removed(members, 3)
+    assert value == pytest.approx(_direct(data, prior, rest), rel=1e-10)
+    assert np.allclose(chain.factors[members].inv, good.inv)
+    # a non-finite factor is drift too, for a grow as for a removal
+    nan_factor = good._replace(inv=np.full((4, 4), np.nan))
+    chain.factors[members] = nan_factor
+    (key,), (value,) = chain.grown(7, [members])
+    assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
+    # and so is a pending move that cannot be replayed on its base
+    del chain.factors[members]
+    chain.factors[(0, 2, 3, 5, 6)] = (nan_factor, ((6, True),))
+    assert chain._factor_value((0, 2, 3, 5, 6)) == pytest.approx(
+        _direct(data, prior, (0, 2, 3, 5, 6)), rel=1e-10
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_is_rejected_with_its_position(bad):
+    data, prior = _mixing_problem(n=6)
+    data[2, 1] = bad
+    with pytest.raises(DomainError, match="row 3, column 2"):
+        init_state(data, prior, CrpPrior(1.0), 0)
+
+
+def test_data_overflowing_the_gram_matrix_is_rejected():
+    data, prior = _mixing_problem(n=6)
+    data[4, 0] = 1e200
+    with pytest.raises(DomainError, match="row 5 overflows"):
+        init_state(data, prior, CrpPrior(1.0), 0)
+
+
+def test_non_finite_weight_raises_and_rolls_back():
+    data, prior = _mixing_problem(n=10)
+    state = init_state(data, prior, CrpPrior(1.0), 3, init="singletons")
+    state.log_ml[4] = np.nan
+    before = list(state.labels)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        gibbs_sweep(state, data)
+    assert state.labels == before
+
+
+def test_failed_sweep_rolls_back_completely(monkeypatch):
+    data, prior = _mixing_problem(n=20)
+    crp = CrpPrior(1.0)
+
+    def sweep_values(state):
+        return list(state.labels), dict(state.log_ml)
+
+    ref = init_state(data, prior, crp, 5, init="single")
+    expected = [sweep_values(gibbs_sweep(ref, data)) for _ in range(8)]
+
+    state = init_state(data, prior, crp, 5, init="single")
+    for sweep in range(8):
+        if sweep in (1, 4):
+            chain = state.chain
+            grown = chain.grown
+            calls = []
+
+            def failing(i, idxs):
+                calls.append(i)
+                if len(calls) == 13:
+                    raise FloatingPointError("injected")
+                return grown(i, idxs)
+
+            monkeypatch.setattr(chain, "grown", failing)
+            factors = dict(chain.factors)
+            with pytest.raises(FloatingPointError, match="injected"):
+                gibbs_sweep(state, data)
+            monkeypatch.undo()
+            assert chain.factors == factors
+        gibbs_sweep(state, data)
+        assert sweep_values(state) == expected[sweep]
+
+
+def test_state_without_its_cache_continues_the_chain():
+    data, prior = _mixing_problem(n=20)
+    state = init_state(data, prior, CrpPrior(1.0), 8, init="single")
+    for _ in range(3):
+        gibbs_sweep(state, data)
+    fresh = init_state(data, prior, CrpPrior(1.0), 8, init="single")
+    fresh.labels = list(state.labels)
+    fresh.clusters = dict(state.clusters)
+    fresh.log_ml = dict(state.log_ml)
+    fresh.rng.bit_generator.state = state.rng.bit_generator.state
+    fresh.chain = None  # rebuilt, with its factors, on the next sweep
+    for _ in range(3):
+        gibbs_sweep(state, data)
+        gibbs_sweep(fresh, data)
+        assert fresh.labels == state.labels
+        assert set(fresh.chain.factors) == {
+            idx for idx in fresh.clusters.values() if len(idx) > 1
+        }
+    fresh.check_consistency(data)
