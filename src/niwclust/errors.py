@@ -41,7 +41,3 @@ class ParseError(ValueError):
 
 class RaggedRows(ValueError):
     """CSV rows have inconsistent lengths."""
-
-
-class NoConvergenceWarning(RuntimeWarning):
-    """Iteration hit its cap; the returned value is the best estimate."""

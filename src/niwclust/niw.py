@@ -21,24 +21,31 @@ References
    distribution", technical note, 2007.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solve_triangular
+from scipy.special import gammaln
 
 from .errors import ConstantRow, DomainError, NotPositiveDefinite
-from .gammafn import LOG_PI, GammaRatioSpec, log_multigamma_ratio
+from .gammafn import LOG_PI
 from .linalg import cholesky
 
 __all__ = [
     "NiwPrior",
     "RobustPriorSpec",
     "ClusterView",
+    "GramFactor",
     "robust_prior",
+    "check_finite",
     "transform_data",
+    "factor_gram",
+    "size_constants",
+    "log_scalar_factor",
+    "dual_log_marginal",
     "cluster_log_marginal",
     "cluster_log_marginal_dual",
     "row_standardize",
@@ -127,17 +134,12 @@ class RobustPriorSpec:
 
     c1: float
     c2: float
-    lambda_scale_mode: str = field(default="p_squared_identity")
 
     def __post_init__(self):
         if not self.c1 > 0:
             raise DomainError(f"c1 must be positive, got {self.c1}")
         if not self.c2 > 1:
             raise DomainError(f"c2 must exceed 1, got {self.c2}")
-        if self.lambda_scale_mode != "p_squared_identity":
-            raise DomainError(
-                f"unsupported lambda_scale_mode {self.lambda_scale_mode!r}"
-            )
 
 
 def robust_prior(p: int, spec: RobustPriorSpec) -> NiwPrior:
@@ -155,6 +157,23 @@ def robust_prior(p: int, spec: RobustPriorSpec) -> NiwPrior:
     )
 
 
+def check_finite(y: NDArray[np.float64]) -> None:
+    """Reject a 2-d data array with a NaN or infinite cell.
+
+    Raises
+    ------
+    DomainError
+        Naming the first such cell by its 1-based row and column.
+    """
+    finite = np.isfinite(y)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DomainError(
+            f"data row {r + 1}, column {c + 1} is {y[r, c]}; "
+            "observations must be finite"
+        )
+
+
 class ClusterView:
     """One cluster's observations with lazily cached summaries.
 
@@ -162,12 +181,11 @@ class ClusterView:
     ----------
     rows : (n, p) array_like
         The cluster's observations, one per row.  An empty cluster is
-        an array of shape (0, p).
+        an array of shape (0, p).  Every cell must be finite.
 
-    The mean, the centered scatter (p x p) and the raw Gram matrix
-    (n x n) are each computed on first use and cached; which of the two
-    quadratic caches materializes depends on whether the primal or the
-    dual marginal form consumes the view.
+    The mean and the centered scatter (p x p) are each computed on
+    first use and cached; only the primal marginal form reads the
+    scatter.
     """
 
     def __init__(self, rows):
@@ -178,6 +196,7 @@ class ClusterView:
             raise ValueError(f"rows must be 2-d, got shape {rows.shape}")
         if rows.shape[1] < 1:
             raise ValueError("rows must have at least one column")
+        check_finite(rows)
         self.rows = rows
 
     @property
@@ -202,34 +221,21 @@ class ClusterView:
         centered = self.rows - self.mean
         return centered.T @ centered
 
-    @cached_property
-    def gram(self) -> NDArray[np.float64]:
-        """Raw Gram matrix rows @ rows.T, n x n."""
-        return self.rows @ self.rows.T
-
-    def check_cache(self, tol: float = 1e-10) -> None:
-        """Verify cached summaries against fresh recomputation."""
-        fresh = ClusterView(self.rows)
-        for name in ("mean", "scatter", "gram"):
-            if name in self.__dict__:
-                a = self.__dict__[name]
-                b = getattr(fresh, name)
-                if not np.allclose(a, b, rtol=tol, atol=tol):
-                    raise AssertionError(f"stale {name} cache")
-
 
 def transform_data(y, prior: NiwPrior) -> NDArray[np.float64]:
     """Apply ytilde_i = Lambda0^{-1/2} (y_i - mu0) row-wise.
 
     Uses the symmetric square root for a full Lambda0; for a scalar
     Lambda0 = lam * I this is just (y - mu0) / sqrt(lam).  Under the
-    transformed data the prior has mu0 = 0 and Lambda0 = I.
+    transformed data the prior has mu0 = 0 and Lambda0 = I.  Rejects
+    non-finite data with :func:`check_finite`.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[None, :]
     if y.shape[1] != prior.p:
         raise ValueError(f"data width {y.shape[1]} does not match prior p={prior.p}")
+    check_finite(y)
     centered = y - prior.mu0
     if prior.scalar_lambda0:
         return centered / np.sqrt(prior.lambda0)
@@ -240,31 +246,84 @@ def transform_data(y, prior: NiwPrior) -> NDArray[np.float64]:
     return centered @ inv_sqrt
 
 
-def _gamma_ratio(p: int, nu0: float, n: int) -> float:
-    return log_multigamma_ratio(GammaRatioSpec(p=p, nu0=nu0, l=n, m=0))
+class GramFactor(NamedTuple):
+    """Cholesky factor of I + G for an n x n Gram block G.
 
-
-def _dual_det_parts(ytilde: NDArray[np.float64], kappa0: float):
-    """(log scalar factor, log|I_n + G|) for transformed cluster rows.
-
-    The determinant |I_p + Ytilde^T Ytilde - (1/(n+kappa0)) Ytilde^T 1 1^T Ytilde|
-    equals sf * |I_n + G| with G = Ytilde Ytilde^T and, by Woodbury,
-    sf = (kappa0 + 1^T (I_n + G)^{-1} 1) / (n + kappa0).
+    lower is L with L L^T = I + G, log_det = log|I + G| and z = L^-1 1,
+    so that 1^T (I + G)^-1 1 = z @ z.
     """
-    n = ytilde.shape[0]
-    if n == 0:
-        return 0.0, 0.0
-    a = ytilde @ ytilde.T
-    a[np.arange(n), np.arange(n)] += 1.0
+
+    lower: NDArray[np.float64]
+    log_det: float
+    z: NDArray[np.float64]
+
+
+def factor_gram(gram: NDArray[np.float64]) -> GramFactor:
+    """Factor I + G, the n x n matrix of every dual-form evaluation.
+
+    Cluster marginals, both determinant terms of the merge ratio and
+    the sampler's per-cluster factors all read their |I_n + G| and
+    1^T (I_n + G)^-1 1 from here.
+    """
+    n = gram.shape[0]
     try:
-        lower = np.linalg.cholesky(a)
+        lower = np.linalg.cholesky(gram + np.eye(n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - G is PSD
         raise NotPositiveDefinite(str(exc)) from None
-    log_det_gram = float(2.0 * np.log(np.diag(lower)).sum())
     z = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
-    quad = float(z @ z)  # = 1^T (I + G)^{-1} 1
-    log_sf = float(np.log((kappa0 + quad) / (n + kappa0)))
-    return log_sf, log_det_gram
+    return GramFactor(lower, float(2.0 * np.log(np.diag(lower)).sum()), z)
+
+
+def size_constants(prior: NiwPrior, n: int) -> NDArray[np.float64]:
+    """The part of the log marginal fixed by the cluster size, for sizes 0..n.
+
+    Entry m is
+
+        -m p/2 log pi + log[Gamma_p((nu0+m)/2) / Gamma_p(nu0/2)]
+        + p/2 log(kappa0/(kappa0+m)) - m/2 log|Lambda0|
+
+    with the gamma ratio telescoped into m univariate terms.  The
+    smallest gamma argument is then (nu0 + 1 - p)/2, which the package
+    keeps at 1/2 or more (as :func:`gammafn.log_gamma` does), so the
+    marginals need nu0 >= p although the prior itself allows
+    nu0 > p - 1.
+    """
+    p = prior.p
+    if not (prior.nu0 + 1 - p) / 2.0 >= 0.5:
+        raise DomainError(f"marginals need nu0 >= p, got nu0={prior.nu0}, p={p}")
+    sizes = np.arange(1, n + 1, dtype=float)
+    gamma_ratio = np.cumsum(
+        gammaln((prior.nu0 + sizes) / 2.0) - gammaln((prior.nu0 + sizes - p) / 2.0)
+    )
+    return np.concatenate(
+        [
+            [0.0],
+            -sizes * p / 2.0 * LOG_PI
+            + gamma_ratio
+            + p / 2.0 * np.log(prior.kappa0 / (prior.kappa0 + sizes))
+            - sizes / 2.0 * prior.lambda0_log_det,
+        ]
+    )
+
+
+def log_scalar_factor(prior: NiwPrior, n: int, s):
+    """log((kappa0 + s) / (n + kappa0)) for s = 1^T (I_n + G)^-1 1.
+
+    By Woodbury, |I_p + Ytilde^T Ytilde - Ytilde^T 1 1^T Ytilde / (n + kappa0)|
+    is this scalar factor times |I_n + G|.
+    """
+    return np.log((prior.kappa0 + s) / (n + prior.kappa0))
+
+
+def dual_log_marginal(consts, prior: NiwPrior, n: int, log_det, s):
+    """Log marginal of n points from log|I_n + G| and s = 1^T (I_n + G)^-1 1.
+
+    consts comes from :func:`size_constants`.  log_det and s may be
+    arrays holding several clusters of the same size n.
+    """
+    return consts[n] - (prior.nu0 + n) / 2.0 * (
+        log_scalar_factor(prior, n, s) + log_det
+    )
 
 
 def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") -> float:
@@ -290,6 +349,8 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
     ------
     NotPositiveDefinite
         If the inner p x p matrix is numerically singular.
+    DomainError
+        If nu0 < p (see :func:`size_constants`).
     """
     if c.n == 0:
         return 0.0
@@ -302,17 +363,14 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
     ):
         return cluster_log_marginal_dual(c, prior)
 
-    n, p = c.n, c.p
+    n = c.n
+    consts = size_constants(prior, n)
     d = c.mean - prior.mu0
     inner = prior.lambda0_matrix() + c.scatter
     inner += (n * prior.kappa0 / (n + prior.kappa0)) * np.outer(d, d)
     log_det_inner = cholesky(inner).log_det()
-    return (
-        -n * p / 2.0 * LOG_PI
-        + _gamma_ratio(p, prior.nu0, n)
-        + p / 2.0 * float(np.log(prior.kappa0 / (prior.kappa0 + n)))
-        + prior.nu0 / 2.0 * prior.lambda0_log_det
-        - (prior.nu0 + n) / 2.0 * log_det_inner
+    return float(
+        consts[n] - (prior.nu0 + n) / 2.0 * (log_det_inner - prior.lambda0_log_det)
     )
 
 
@@ -328,16 +386,10 @@ def cluster_log_marginal_dual(c: ClusterView, prior: NiwPrior) -> float:
         raise ValueError(f"cluster width {c.p} does not match prior p={prior.p}")
     if not prior.scalar_lambda0:
         raise DomainError("dual form requires a scalar lambda0")
-    n, p = c.n, c.p
+    consts = size_constants(prior, c.n)
     ytilde = transform_data(c.rows, prior)
-    log_sf, log_det_gram = _dual_det_parts(ytilde, prior.kappa0)
-    return (
-        -n * p / 2.0 * LOG_PI
-        + _gamma_ratio(p, prior.nu0, n)
-        + p / 2.0 * float(np.log(prior.kappa0 / (prior.kappa0 + n)))
-        - n / 2.0 * prior.lambda0_log_det
-        - (prior.nu0 + n) / 2.0 * (log_sf + log_det_gram)
-    )
+    f = factor_gram(ytilde @ ytilde.T)
+    return float(dual_log_marginal(consts, prior, c.n, f.log_det, f.z @ f.z))
 
 
 def row_standardize(y) -> NDArray[np.float64]:

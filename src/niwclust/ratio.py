@@ -22,8 +22,14 @@ import numpy as np
 
 from .errors import DomainError
 from .gammafn import gamma_term_log, gamma_term_log_limit
-from .linalg import cholesky, spectral_norm
-from .niw import ClusterView, NiwPrior, RobustPriorSpec, _dual_det_parts, transform_data
+from .niw import (
+    NiwPrior,
+    RobustPriorSpec,
+    check_finite,
+    factor_gram,
+    log_scalar_factor,
+    transform_data,
+)
 from .partition import CrpPrior, Partition, eppf_log_ratio
 
 __all__ = [
@@ -33,8 +39,6 @@ __all__ = [
     "kappa_term_log",
     "det_kappa_term_log",
     "analytic_limits",
-    "det_gram_term_log",
-    "trace_approx_log",
     "projector_residual",
 ]
 
@@ -198,11 +202,15 @@ def merge_log_ratio(
     term_gamma = gamma_term_log(p, prior.nu0, n1, n2)
     term_kappa = kappa_term_log(p, prior.kappa0, n1, n2)
 
-    yt1 = transform_data(data[idx1], prior)
-    yt2 = transform_data(data[idx2], prior)
-    sf1, ld1 = _dual_det_parts(yt1, prior.kappa0)
-    sf2, ld2 = _dual_det_parts(yt2, prior.kappa0)
-    sfm, ldm = _dual_det_parts(np.vstack([yt1, yt2]), prior.kappa0)
+    def dual_parts(rows):
+        """(log scalar factor, log|I + G|) of transformed rows."""
+        f = factor_gram(rows @ rows.T)
+        return float(log_scalar_factor(prior, rows.shape[0], f.z @ f.z)), f.log_det
+
+    merged = transform_data(data, prior)[np.concatenate([idx1, idx2])]
+    sf1, ld1 = dual_parts(merged[:n1])
+    sf2, ld2 = dual_parts(merged[n1:])
+    sfm, ldm = dual_parts(merged)
 
     def half(nh):
         return (prior.nu0 + nh) / 2.0
@@ -223,56 +231,16 @@ def merge_log_ratio(
     )
 
 
-def det_gram_term_log(c1: ClusterView, c2: ClusterView, prior: NiwPrior) -> float:
-    """Exact log-ratio of the |I_n + G| powers across merging two clusters.
-
-    Computed entirely in n x n space from the transformed rows.
-    Requires a scalar Lambda0.
-    """
-    if not prior.scalar_lambda0:
-        raise DomainError("gram term requires a scalar lambda0")
-    if c1.n == 0 and c2.n == 0:
-        return 0.0
-
-    def gram_log_det(rows):
-        if rows.shape[0] == 0:
-            return 0.0
-        _, ld = _dual_det_parts(transform_data(rows, prior), prior.kappa0)
-        return ld
-
-    def half(nh):
-        return (prior.nu0 + nh) / 2.0
-
-    ld1 = gram_log_det(c1.rows)
-    ld2 = gram_log_det(c2.rows)
-    ldm = gram_log_det(np.vstack([c1.rows, c2.rows]))
-    return half(c1.n + c2.n) * ldm - half(c1.n) * ld1 - half(c2.n) * ld2
-
-
-def trace_approx_log(c: ClusterView, prior: NiwPrior) -> float:
-    """Trace approximation of the cluster's gram determinant power.
-
-    ((nu0 + n)/2) * log(1 + trace((Y - mu0)^T (Y - mu0)) / lam) for a
-    scalar Lambda0 = lam * I.  For row-standardized data with mu0 = 0
-    the trace is (p - 1) * n.  Approximates the exact
-    ((nu0 + n)/2) * log|I_n + G| by dropping the off-diagonal mass of G.
-    """
-    if not prior.scalar_lambda0:
-        raise DomainError("trace approximation requires a scalar lambda0")
-    if c.n == 0:
-        return 0.0
-    centered = c.rows - prior.mu0
-    trace = float((centered**2).sum())
-    return (prior.nu0 + c.n) / 2.0 * float(np.log1p(trace / prior.lambda0))
-
-
 def projector_residual(y) -> float:
     """Spectral norm of Y (I_p + Y^T Y)^{-1} Y^T - I_n.
 
     By the Woodbury identity the residual matrix equals
-    -(I_n + Y Y^T)^{-1}, so the norm is computed in n x n space.  The
-    value always lies in (0, 1] and vanishes as the smallest eigenvalue
-    of Y Y^T grows.
+    -(I_n + Y Y^T)^{-1}, so the norm is exactly 1 / (1 + lambda_min),
+    lambda_min the smallest eigenvalue of the n x n Gram matrix Y Y^T.
+    The value lies in (0, 1] and vanishes as lambda_min grows.  An
+    eigenvalue within the rounding of forming Y Y^T and its spectrum,
+    max(n, p) * eps * lambda_max, counts as 0, so rows that are
+    linearly dependent (duplicate rows, n > p) give exactly 1.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -280,7 +248,9 @@ def projector_residual(y) -> float:
     n = y.shape[0]
     if n < 1:
         raise ValueError("need at least one row")
-    a = y @ y.T
-    a[np.arange(n), np.arange(n)] += 1.0
-    inv = cholesky(a).solve(np.eye(n))
-    return float(spectral_norm(inv))
+    check_finite(y)
+    eig = np.linalg.eigvalsh(y @ y.T)
+    lam_min = float(eig[0])
+    if lam_min <= max(y.shape) * np.finfo(float).eps * eig[-1]:
+        lam_min = 0.0
+    return 1.0 / (1.0 + lam_min)

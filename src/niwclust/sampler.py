@@ -25,16 +25,23 @@ References
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from math import exp, inf, isfinite, log
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .errors import DomainError, InvalidConfig, NotPositiveDefinite
-from .gammafn import LOG_PI
-from .niw import ClusterView, NiwPrior, cluster_log_marginal, transform_data
+from .niw import (
+    ClusterView,
+    NiwPrior,
+    cluster_log_marginal,
+    dual_log_marginal,
+    factor_gram,
+    size_constants,
+    transform_data,
+)
 from .partition import CrpPrior, Partition
 
 __all__ = [
@@ -77,12 +84,12 @@ class _ChainCache:
     """Per-chain quantities for incremental cluster marginal evaluation.
 
     Holds the Gram matrix G of the transformed data and the size-indexed
-    part of the marginal (gamma ratio, kappa power, pi power, Lambda0
-    determinant), so a cluster's log marginal needs only log|I + G_c|
-    and 1^T (I + G_c)^-1 1.  Those come from ``factors``, keyed by the
-    member tuple of every current cluster of two or more points.  Adding
-    a point to a cluster is a bordered append to its ``_Factor``,
-    O(n_c^2); removing one is a Schur deletion, O(1) for the marginal.
+    part of the marginal (``niw.size_constants``), so a cluster's log
+    marginal needs only log|I + G_c| and 1^T (I + G_c)^-1 1.  Those
+    come from ``factors``, keyed by the member tuple of every current
+    cluster of two or more points.  Adding a point to a cluster is a
+    bordered append to its ``_Factor``, O(n_c^2); removing one is a
+    Schur deletion, O(1) for the marginal.
     A memo keyed by member tuple answers repeated evaluations.
 
     Moving a point between clusters does not touch the factors at once:
@@ -97,18 +104,6 @@ class _ChainCache:
     def __init__(self, data: np.ndarray, prior: NiwPrior):
         self.data = data
         self.prior = prior
-        n, p = data.shape
-        if not (prior.nu0 + 1 - p) / 2.0 >= 0.5:
-            raise DomainError(
-                f"marginals need nu0 >= p, got nu0={prior.nu0}, p={p}"
-            )
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            r, c = bad[0]
-            raise DomainError(
-                f"data row {r + 1}, column {c + 1} is {data[r, c]}; "
-                "observations must be finite"
-            )
         with np.errstate(over="ignore", invalid="ignore"):
             ytilde = transform_data(data, prior)
             self.gram = ytilde @ ytilde.T
@@ -118,21 +113,9 @@ class _ChainCache:
                 f"data row {bad[0] + 1} overflows the Gram matrix; "
                 "rescale the data"
             )
-        self.kappa0 = prior.kappa0
-        self.nu0 = prior.nu0
-        sizes = np.arange(1, n + 1, dtype=float)
-        gamma_ratio = np.cumsum(
-            gammaln((prior.nu0 + sizes) / 2.0)
-            - gammaln((prior.nu0 + sizes - p) / 2.0)
-        )
-        self._size_const = np.concatenate(
-            [
-                [0.0],
-                -sizes * p / 2.0 * LOG_PI
-                + gamma_ratio
-                + p / 2.0 * np.log(prior.kappa0 / (prior.kappa0 + sizes))
-                - sizes / 2.0 * prior.lambda0_log_det,
-            ]
+        # log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1
+        self._value = partial(
+            dual_log_marginal, size_constants(prior, data.shape[0]), prior
         )
         self._diag = self.gram.diagonal().copy()
         one = 1.0 + self._diag
@@ -140,11 +123,6 @@ class _ChainCache:
         self.factors: dict = {}
         self._memo: dict = {}
         self._memo_size = 0
-
-    def _value(self, nh, log_det, s):
-        """Log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1."""
-        log_sf = np.log((self.kappa0 + s) / (nh + self.kappa0))
-        return self._size_const[nh] - (self.nu0 + nh) / 2.0 * (log_sf + log_det)
 
     def _remember(self, keys: list, values: list) -> None:
         size = sum(map(len, keys))
@@ -159,21 +137,16 @@ class _ChainCache:
     def _build(self, idx: tuple) -> _Factor:
         """Factor of idx from one Cholesky factor of its Gram block."""
         ii = np.asarray(idx, dtype=np.intp)
-        a = self.gram[ii[:, None], ii] + np.eye(ii.size)
-        try:
-            lower = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - G is PSD
-            raise NotPositiveDefinite(str(exc)) from None
+        f = factor_gram(self.gram[ii[:, None], ii])
         lower_inv = solve_triangular(
-            lower, np.eye(ii.size), lower=True, check_finite=False
+            f.lower, np.eye(ii.size), lower=True, check_finite=False
         )
-        z = lower_inv.sum(axis=1)
         return _Factor(
             ii,
             lower_inv.T @ lower_inv,
-            lower_inv.T @ z,
-            float(z @ z),
-            2.0 * float(np.log(lower.diagonal()).sum()),
+            lower_inv.T @ f.z,
+            float(f.z @ f.z),
+            f.log_det,
         )
 
     def _border(self, f: _Factor, i: int):

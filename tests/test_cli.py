@@ -30,7 +30,12 @@ def test_limits_writes_csv_and_svg(tmp_path, capsys):
     table = read_csv(csv_path)
     assert table.names[:2] == ("p", "replicate")
     assert sorted(set(table.values[:, 0])) == [50.0, 100.0]
-    assert svg_path.read_text().lstrip().startswith("<svg")
+    svg = svg_path.read_text()
+    assert svg.lstrip().startswith("<svg")
+    # reference lines are the limits the row-standardized medians approach
+    assert ">total limit (gamma + kappa)</text>" in svg
+    assert ">det_kappa, det_gram limit</text>" in svg
+    assert ">det_kappa limit</text>" not in svg
     assert "limits p=50" in capsys.readouterr().out
 
 

@@ -203,10 +203,3 @@ def test_row_standardize_identity_and_idempotence():
 def test_row_standardize_rejects_constant_rows():
     with pytest.raises(ConstantRow):
         row_standardize(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
-
-
-def test_cluster_view_caches_consistent():
-    rng = np.random.default_rng(14)
-    c = ClusterView(rng.standard_normal((6, 4)))
-    _ = c.mean, c.scatter, c.gram
-    c.check_cache()

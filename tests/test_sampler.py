@@ -15,7 +15,8 @@ from niwclust.niw import (
     cluster_log_marginal,
     robust_prior,
 )
-from niwclust.partition import CrpPrior, adjusted_rand_index
+from niwclust.partition import CrpPrior, Partition, adjusted_rand_index
+from niwclust.ratio import merge_log_ratio, projector_residual
 from niwclust.sampler import gibbs_sweep, init_state, run_chain
 import oracles
 
@@ -82,12 +83,17 @@ def test_run_chain_rejects_bad_sweep_counts():
 
 def test_sampler_needs_nu0_at_least_p():
     # the prior itself allows nu0 > p - 1, but the per-size telescoping
-    # of the gamma factor needs nu0 >= p
+    # of the gamma factor needs nu0 >= p, in every marginal evaluation
     p = 4
     prior = NiwPrior(np.zeros(p), 1.0, p - 0.5, 1.0)
     data = np.random.default_rng(2).standard_normal((5, p))
-    with pytest.raises(DomainError):
+    for form in ("primal", "dual"):
+        with pytest.raises(DomainError, match="marginals need nu0 >= p"):
+            cluster_log_marginal(ClusterView(data), prior, form=form)
+    with pytest.raises(DomainError, match="marginals need nu0 >= p"):
         init_state(data, prior, CrpPrior(1.0), 0)
+    with pytest.raises(DomainError, match="marginals need nu0 >= p"):
+        run_chain(data, prior, CrpPrior(1.0), sweeps=2, burnin=0, seed=0)
 
 
 def test_co_clustering_matrix_shape_and_blocks():
@@ -282,10 +288,20 @@ def test_drifted_factor_is_rebuilt():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_data_is_rejected_with_its_position(bad):
+    # every library entry point that takes observations checks them
     data, prior = _mixing_problem(n=6)
     data[2, 1] = bad
-    with pytest.raises(DomainError, match="row 3, column 2"):
-        init_state(data, prior, CrpPrior(1.0), 0)
+    part = Partition([1, 1, 1, 2, 2, 2])
+    for evaluate in (
+        lambda: init_state(data, prior, CrpPrior(1.0), 0),
+        lambda: run_chain(data, prior, CrpPrior(1.0), sweeps=2, burnin=0, seed=0),
+        lambda: cluster_log_marginal(ClusterView(data), prior, form="primal"),
+        lambda: cluster_log_marginal(ClusterView(data), prior, form="dual"),
+        lambda: merge_log_ratio(data, part, 1, 2, prior, CrpPrior(1.0)),
+        lambda: projector_residual(data),
+    ):
+        with pytest.raises(DomainError, match="row 3, column 2"):
+            evaluate()
 
 
 def test_data_overflowing_the_gram_matrix_is_rejected():
