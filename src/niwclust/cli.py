@@ -247,7 +247,6 @@ def _plot_limits(table: CsvTable) -> str:
         title="Merge-ratio terms vs analytic limits",
         xlabel="p (log scale)",
         ylabel="log-scale term",
-        xlog=True,
         hlines=hlines,
     )
 
@@ -278,7 +277,6 @@ def _plot_projector(table: CsvTable) -> str:
         title="Projector residual vs dimension",
         xlabel="p (log scale)",
         ylabel="spectral-norm residual",
-        xlog=True,
     )
 
 
@@ -356,7 +354,6 @@ def _plot_sweep(table: CsvTable) -> str:
         title="Sampler dichotomy: robust vs naive prior",
         xlabel="p (log scale)",
         ylabel="post-burnin fraction / ARI",
-        xlog=True,
     )
 
 

@@ -31,10 +31,11 @@ from scipy.linalg import solve_triangular
 from scipy.special import gammaln
 
 from .errors import ConstantRow, DomainError, NotPositiveDefinite
-from .gammafn import LOG_PI
-from .linalg import cholesky
 
 __all__ = [
+    "LOG_PI",
+    "log_multigamma",
+    "spd_log_det",
     "NiwPrior",
     "RobustPriorSpec",
     "ClusterView",
@@ -42,17 +43,83 @@ __all__ = [
     "robust_prior",
     "check_finite",
     "transform_data",
+    "gram_matrix",
     "factor_gram",
+    "check_nu0",
     "size_constants",
     "log_scalar_factor",
     "dual_log_marginal",
     "cluster_log_marginal",
-    "cluster_log_marginal_dual",
     "row_standardize",
 ]
 
 # Dual evaluation pays off once the Gram side is decisively smaller.
 _DUAL_RATIO = 4
+
+LOG_PI = float(np.log(np.pi))
+
+# Pivot below PIVOT_RTOL * max(diag) counts as numerically singular.
+# A fixed relative threshold keeps the PD test stable across platforms.
+PIVOT_RTOL = 1e-12
+
+
+def log_multigamma(p: int, a: float) -> float:
+    """log Gamma_p(a) = p(p-1)/4 * log pi + sum_j log Gamma(a - (j-1)/2).
+
+    The package never forms Gamma_p itself: :func:`size_constants` and
+    ``ratio.gamma_term_log`` telescope its ratios.  This direct form is
+    the reference that the acceptance gate for the gamma machinery and
+    the gamma-term tests compare those telescoped sums against.
+
+    Raises
+    ------
+    DomainError
+        If p < 1 or a <= (p - 1) / 2 (the pole region).
+    """
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got {p}")
+    if not a > (p - 1) / 2.0:
+        raise DomainError(f"log_multigamma needs a > (p-1)/2, got a={a}, p={p}")
+    shifts = a - 0.5 * np.arange(p)
+    return float(p * (p - 1) / 4.0 * LOG_PI + gammaln(shifts).sum())
+
+
+def spd_log_det(m) -> float:
+    """log|M| of a symmetric positive definite matrix, from its Cholesky factor.
+
+    Every determinant here is raised to a power of order (nu0 + n) / 2,
+    which overflows raw determinants at a few hundred dimensions, so
+    they stay in log space: log|M| = 2 * sum(log diag(L)) for M = L L^T.
+
+    Raises
+    ------
+    ValueError
+        If m is not a square, symmetric matrix.
+    NotPositiveDefinite
+        If the diagonal is not positive, the factorization fails or any
+        pivot falls below ``PIVOT_RTOL * max(diag(m))``.  A failure here
+        usually signals a degenerate scatter matrix or an invalid prior
+        scale.
+    """
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.allclose(a, a.T, rtol=1e-10, atol=0.0):
+        raise ValueError("matrix is not symmetric")
+    max_diag = float(np.max(np.diag(a)))
+    if not np.isfinite(max_diag) or max_diag <= 0.0:
+        raise NotPositiveDefinite("matrix diagonal is not positive")
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from None
+    pivots = np.diag(lower) ** 2
+    if np.min(pivots) < PIVOT_RTOL * max_diag:
+        raise NotPositiveDefinite(
+            f"pivot {np.min(pivots):.3e} below tolerance "
+            f"{PIVOT_RTOL * max_diag:.3e}"
+        )
+    return float(2.0 * np.log(np.diag(lower)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +166,7 @@ class NiwPrior:
                     f"lambda0 shape {lam.shape} does not match p={p}"
                 )
             object.__setattr__(self, "lambda0", lam)
-            cholesky(lam)  # raises NotPositiveDefinite when invalid
+            spd_log_det(lam)  # raises NotPositiveDefinite when invalid
 
     @property
     def p(self) -> int:
@@ -113,7 +180,7 @@ class NiwPrior:
     def lambda0_log_det(self) -> float:
         if self.scalar_lambda0:
             return self.p * float(np.log(self.lambda0))
-        return cholesky(self.lambda0).log_det()
+        return spd_log_det(self.lambda0)
 
     def lambda0_matrix(self) -> NDArray[np.float64]:
         """Lambda0 as an explicit p x p matrix (primal evaluation only)."""
@@ -228,7 +295,9 @@ def transform_data(y, prior: NiwPrior) -> NDArray[np.float64]:
     Uses the symmetric square root for a full Lambda0; for a scalar
     Lambda0 = lam * I this is just (y - mu0) / sqrt(lam).  Under the
     transformed data the prior has mu0 = 0 and Lambda0 = I.  Rejects
-    non-finite data with :func:`check_finite`.
+    non-finite data with :func:`check_finite`.  A cell that overflows
+    in the transform becomes infinite without a warning; every caller
+    forms the Gram matrix with :func:`gram_matrix`, which rejects its row.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -236,14 +305,44 @@ def transform_data(y, prior: NiwPrior) -> NDArray[np.float64]:
     if y.shape[1] != prior.p:
         raise ValueError(f"data width {y.shape[1]} does not match prior p={prior.p}")
     check_finite(y)
-    centered = y - prior.mu0
-    if prior.scalar_lambda0:
-        return centered / np.sqrt(prior.lambda0)
-    w, v = np.linalg.eigh(prior.lambda0)
-    if np.min(w) <= 0 or np.min(w) < 1e-12 * np.max(w):
-        raise NotPositiveDefinite("lambda0 eigenvalue not positive")
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-    return centered @ inv_sqrt
+    if not prior.scalar_lambda0:
+        w, v = np.linalg.eigh(prior.lambda0)
+        if np.min(w) <= 0 or np.min(w) < 1e-12 * np.max(w):
+            raise NotPositiveDefinite("lambda0 eigenvalue not positive")
+        inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = y - prior.mu0
+        if prior.scalar_lambda0:
+            return centered / np.sqrt(prior.lambda0)
+        return centered @ inv_sqrt
+
+
+def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
+    """The Gram matrix Ytilde Ytilde^T of finite rows, checked for overflow.
+
+    Finite data can still overflow here (a cell of 1e200 squares to
+    inf), and a non-finite Gram entry would otherwise come out of the
+    dual marginal as nan.  rows gives the 0-based data row of each row
+    of ytilde for the error message; by default row i is data row i.
+
+    Raises
+    ------
+    DomainError
+        Naming, 1-based, the first data row whose squared norm overflows
+        (its cross terms with other rows can overflow too), else the
+        first whose Gram row is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = ytilde @ ytilde.T
+    finite = np.isfinite(gram)
+    if not finite.all():
+        diag = ~finite.diagonal()
+        bad = np.flatnonzero(diag if diag.any() else ~finite.all(axis=1))
+        r = bad[0] if rows is None else rows[bad[0]]
+        raise DomainError(
+            f"data row {r + 1} overflows the Gram matrix; rescale the data"
+        )
+    return gram
 
 
 class GramFactor(NamedTuple):
@@ -274,6 +373,18 @@ def factor_gram(gram: NDArray[np.float64]) -> GramFactor:
     return GramFactor(lower, float(2.0 * np.log(np.diag(lower)).sum()), z)
 
 
+def check_nu0(nu0: float, p: int) -> None:
+    """Raise DomainError unless nu0 >= p, which every marginal needs.
+
+    The marginals and the merge ratio's gamma term telescope Gamma_p
+    ratios into univariate log-gamma terms whose smallest argument,
+    (nu0 + 1 - p)/2, the package keeps at 1/2 or more, although the
+    prior itself allows nu0 > p - 1.
+    """
+    if not (nu0 + 1 - p) / 2.0 >= 0.5:
+        raise DomainError(f"marginals need nu0 >= p, got nu0={nu0}, p={p}")
+
+
 def size_constants(prior: NiwPrior, n: int) -> NDArray[np.float64]:
     """The part of the log marginal fixed by the cluster size, for sizes 0..n.
 
@@ -282,15 +393,11 @@ def size_constants(prior: NiwPrior, n: int) -> NDArray[np.float64]:
         -m p/2 log pi + log[Gamma_p((nu0+m)/2) / Gamma_p(nu0/2)]
         + p/2 log(kappa0/(kappa0+m)) - m/2 log|Lambda0|
 
-    with the gamma ratio telescoped into m univariate terms.  The
-    smallest gamma argument is then (nu0 + 1 - p)/2, which the package
-    keeps at 1/2 or more (as :func:`gammafn.log_gamma` does), so the
-    marginals need nu0 >= p although the prior itself allows
-    nu0 > p - 1.
+    with the gamma ratio telescoped into m univariate terms, which needs
+    nu0 >= p (:func:`check_nu0`).
     """
     p = prior.p
-    if not (prior.nu0 + 1 - p) / 2.0 >= 0.5:
-        raise DomainError(f"marginals need nu0 >= p, got nu0={prior.nu0}, p={p}")
+    check_nu0(prior.nu0, p)
     sizes = np.arange(1, n + 1, dtype=float)
     gamma_ratio = np.cumsum(
         gammaln((prior.nu0 + sizes) / 2.0) - gammaln((prior.nu0 + sizes - p) / 2.0)
@@ -350,7 +457,8 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
     NotPositiveDefinite
         If the inner p x p matrix is numerically singular.
     DomainError
-        If nu0 < p (see :func:`size_constants`).
+        If nu0 < p (see :func:`check_nu0`), if form is "dual" with a
+        full Lambda0, or if the Gram matrix of the dual form overflows.
     """
     if c.n == 0:
         return 0.0
@@ -358,38 +466,24 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
         raise ValueError(f"cluster width {c.p} does not match prior p={prior.p}")
     if form not in ("auto", "primal", "dual"):
         raise ValueError(f"unknown form {form!r}")
-    if form == "dual" or (
-        form == "auto" and prior.scalar_lambda0 and c.p > _DUAL_RATIO * c.n
-    ):
-        return cluster_log_marginal_dual(c, prior)
-
     n = c.n
+    dual = form == "dual" or (
+        form == "auto" and prior.scalar_lambda0 and c.p > _DUAL_RATIO * n
+    )
+    if dual and not prior.scalar_lambda0:
+        raise DomainError("dual form requires a scalar lambda0")
     consts = size_constants(prior, n)
+    if dual:
+        f = factor_gram(gram_matrix(transform_data(c.rows, prior)))
+        return float(dual_log_marginal(consts, prior, n, f.log_det, f.z @ f.z))
+
     d = c.mean - prior.mu0
     inner = prior.lambda0_matrix() + c.scatter
     inner += (n * prior.kappa0 / (n + prior.kappa0)) * np.outer(d, d)
-    log_det_inner = cholesky(inner).log_det()
+    log_det_inner = spd_log_det(inner)
     return float(
         consts[n] - (prior.nu0 + n) / 2.0 * (log_det_inner - prior.lambda0_log_det)
     )
-
-
-def cluster_log_marginal_dual(c: ClusterView, prior: NiwPrior) -> float:
-    """Same value as :func:`cluster_log_marginal`, computed in n x n space.
-
-    Requires a scalar Lambda0.  Cost O(p n^2 + n^3), independent of p^3,
-    which is what makes dimension sweeps up to p = 1e5 feasible.
-    """
-    if c.n == 0:
-        return 0.0
-    if c.p != prior.p:
-        raise ValueError(f"cluster width {c.p} does not match prior p={prior.p}")
-    if not prior.scalar_lambda0:
-        raise DomainError("dual form requires a scalar lambda0")
-    consts = size_constants(prior, c.n)
-    ytilde = transform_data(c.rows, prior)
-    f = factor_gram(ytilde @ ytilde.T)
-    return float(dual_log_marginal(consts, prior, c.n, f.log_det, f.z @ f.z))
 
 
 def row_standardize(y) -> NDArray[np.float64]:

@@ -32,17 +32,18 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DomainError, InvalidConfig, NotPositiveDefinite
+from .errors import InvalidConfig, NotPositiveDefinite
 from .niw import (
     ClusterView,
     NiwPrior,
     cluster_log_marginal,
     dual_log_marginal,
     factor_gram,
+    gram_matrix,
     size_constants,
     transform_data,
 )
-from .partition import CrpPrior, Partition
+from .partition import CrpPrior
 
 __all__ = [
     "SamplerState",
@@ -104,15 +105,7 @@ class _ChainCache:
     def __init__(self, data: np.ndarray, prior: NiwPrior):
         self.data = data
         self.prior = prior
-        with np.errstate(over="ignore", invalid="ignore"):
-            ytilde = transform_data(data, prior)
-            self.gram = ytilde @ ytilde.T
-        bad = np.flatnonzero(~np.isfinite(self.gram).all(axis=1))
-        if bad.size:
-            raise DomainError(
-                f"data row {bad[0] + 1} overflows the Gram matrix; "
-                "rescale the data"
-            )
+        self.gram = gram_matrix(transform_data(data, prior))
         # log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1
         self._value = partial(
             dual_log_marginal, size_constants(prior, data.shape[0]), prior
@@ -332,10 +325,6 @@ class SamplerState:
     rng: np.random.Generator
     sweep_index: int = 0
     chain: Optional[_ChainCache] = field(default=None, repr=False)
-
-    @property
-    def partition(self) -> Partition:
-        return Partition(self.labels)
 
     def k(self) -> int:
         return len(self.clusters)

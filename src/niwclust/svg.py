@@ -11,6 +11,8 @@ __all__ = ["line_plot"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_L = 74
 _MARGIN_R = 180
 _MARGIN_T = 46
@@ -25,11 +27,9 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def _linear_ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _linear_ticks(lo: float, hi: float):
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _log_ticks(lo: float, hi: float):
@@ -44,20 +44,17 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    xlog: bool = False,
     hlines=(),
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render labeled (x, y) series as an SVG document string.
+
+    The x axis is logarithmic, so every x must be positive.
 
     Parameters
     ----------
     series : sequence of (label, xs, ys)
     hlines : sequence of (label, y)
         Dashed horizontal reference lines.
-    xlog : bool
-        Log-scale x axis (all x must be positive).
     """
     series = [
         (str(lab), [float(x) for x in xs], [float(y) for y in ys])
@@ -70,13 +67,10 @@ def line_plot(
     ys_all += [y for _, y in hlines]
     if not xs_all or not ys_all:
         raise ValueError("nothing to plot")
-    if xlog and min(xs_all) <= 0:
+    if min(xs_all) <= 0:
         raise ValueError("log x axis needs positive x values")
 
-    def tx(x: float) -> float:
-        return math.log10(x) if xlog else x
-
-    x_lo, x_hi = min(map(tx, xs_all)), max(map(tx, xs_all))
+    x_lo, x_hi = min(map(math.log10, xs_all)), max(map(math.log10, xs_all))
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
@@ -86,24 +80,24 @@ def line_plot(
     y_lo -= y_pad
     y_hi += y_pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
-        return _MARGIN_L + (tx(x) - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (math.log10(x) - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="sans-serif" font-size="12" fill="#222">',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
             f'font-size="15">{_escape(title)}</text>'
         )
 
@@ -114,13 +108,8 @@ def line_plot(
     )
 
     # x ticks
-    x_ticks = (
-        _log_ticks(min(xs_all), max(xs_all))
-        if xlog
-        else _linear_ticks(x_lo, x_hi)
-    )
-    for t in x_ticks:
-        gx = px(t) if xlog else _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
+    for t in _log_ticks(min(xs_all), max(xs_all)):
+        gx = px(t)
         out.append(
             f'<line x1="{_fmt(gx)}" y1="{_MARGIN_T + plot_h}" x2="{_fmt(gx)}" '
             f'y2="{_MARGIN_T + plot_h + 5}" stroke="#444"/>'
@@ -142,7 +131,7 @@ def line_plot(
         )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{height - 14}" '
+            f'<text x="{_MARGIN_L + plot_w / 2:.0f}" y="{_HEIGHT - 14}" '
             f'text-anchor="middle">{_escape(xlabel)}</text>'
         )
     if ylabel:

@@ -10,6 +10,7 @@ from math import lgamma, log, pi
 
 import mpmath
 import numpy as np
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import logsumexp
 from scipy.stats import multivariate_t
@@ -96,6 +97,25 @@ def t_chain_log_marginal(ys, mu0, kappa0: float, nu0: float, lam0) -> float:
         kap += 1.0
         nu += 1.0
     return total
+
+
+@st.composite
+def rows_and_scalar_prior(draw, min_n=1):
+    """(rows, (mu0, kappa0, nu0, lam0)) for the marginal properties.
+
+    n and p go down to 1, and the rows are drawn with replacement from a
+    pool of n random rows, so duplicate rows are common.  lam0 is a
+    scalar, which the dual form needs, and nu0 >= p, which every
+    marginal needs.
+    """
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(min_n, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.standard_normal((n, p)) * draw(st.floats(0.1, 3.0))
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    prior = (rng.standard_normal(p), draw(st.floats(0.2, 5.0)),
+             p + draw(st.floats(0.0, 6.0)), draw(st.floats(0.2, 5.0)))
+    return pool[picks], prior
 
 
 # ------------------------------------------------------- partitions

@@ -14,18 +14,25 @@ from scipy.special import gammaln
 
 from niwclust.cli import main as cli_main
 from niwclust.datagen import GenSpec, generate
-from niwclust.gammafn import LOG_PI, gamma_term_log, log_multigamma
 from niwclust.io import read_csv, write_csv
 from niwclust.niw import (
+    LOG_PI,
     ClusterView,
     NiwPrior,
     RobustPriorSpec,
     cluster_log_marginal,
+    log_multigamma,
     robust_prior,
     row_standardize,
 )
 from niwclust.partition import CrpPrior, Partition, adjusted_rand_index
-from niwclust.ratio import analytic_limits, kappa_term_log, merge_log_ratio, projector_residual
+from niwclust.ratio import (
+    analytic_limits,
+    gamma_term_log,
+    kappa_term_log,
+    merge_log_ratio,
+    projector_residual,
+)
 from niwclust.sampler import run_chain
 import oracles
 

@@ -2,19 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from niwclust.errors import DomainError
-from niwclust.gammafn import (
-    LOG_PI,
-    GammaRatioSpec,
-    gamma_term_log,
-    gamma_term_log_limit,
-    log_gamma,
-    log_multigamma,
-    log_multigamma_ratio,
-)
+from niwclust.niw import LOG_PI, RobustPriorSpec, log_multigamma
+from niwclust.ratio import analytic_limits, gamma_term_log
 from oracles import log_multigamma_mp
 
 
@@ -32,7 +24,7 @@ def test_log_multigamma_matches_mpmath():
 
 def test_log_multigamma_p1_is_loggamma():
     for a in (0.5, 1.0, 2.25, 17.0):
-        assert log_multigamma(1, a) == pytest.approx(log_gamma(a), rel=1e-15)
+        assert log_multigamma(1, a) == pytest.approx(gammaln(a), rel=1e-15)
 
 
 def test_recurrence_up_to_p300():
@@ -43,34 +35,9 @@ def test_recurrence_up_to_p300():
         for p in range(2, 301):
             a = (p - 1) / 2.0 + a_off
             lhs = log_multigamma(p, a)
-            rhs = (log_multigamma(p - 1, a) + log_gamma(a - (p - 1) / 2.0)
+            rhs = (log_multigamma(p - 1, a) + gammaln(a - (p - 1) / 2.0)
                    + (p - 1) / 2.0 * LOG_PI)
             assert rel(lhs, rhs) < 1e-10, (p, a)
-
-
-def test_ratio_equals_multigamma_difference():
-    rng = np.random.default_rng(2)
-    for p in (1, 4, 19, 60):
-        for _ in range(4):
-            nu0 = p + 1.0 + 10.0 * rng.random()
-            l, m = sorted(rng.integers(0, 9, size=2))[::-1]
-            spec = GammaRatioSpec(p=p, nu0=nu0, l=int(l), m=int(m))
-            direct = (log_multigamma(p, (nu0 + l) / 2.0)
-                      - log_multigamma(p, (nu0 + m) / 2.0))
-            assert rel(log_multigamma_ratio(spec), direct) < 1e-10
-
-
-@given(p=st.integers(1, 40), take=st.integers(0, 6), m=st.integers(0, 6),
-       extra=st.floats(0.5, 20.0))
-@settings(max_examples=60, deadline=None)
-def test_ratio_is_additive_in_the_upper_count(p, take, m, extra):
-    nu0 = p + extra
-    l = m + take
-    mid = m + take // 2
-    full = log_multigamma_ratio(GammaRatioSpec(p=p, nu0=nu0, l=l, m=m))
-    first = log_multigamma_ratio(GammaRatioSpec(p=p, nu0=nu0, l=mid, m=m))
-    second = log_multigamma_ratio(GammaRatioSpec(p=p, nu0=nu0, l=l, m=mid))
-    assert full == pytest.approx(first + second, rel=1e-12, abs=1e-12)
 
 
 def test_gamma_term_equals_four_multigamma_combination():
@@ -97,17 +64,19 @@ def test_gamma_term_empty_cluster_is_zero():
     assert gamma_term_log(10, 25.0, 4, 0) == 0.0
 
 
+def gamma_limit(c2, n1, n2):
+    return analytic_limits(RobustPriorSpec(1.0, c2), n1, n2).gamma_limit
+
+
 def test_gamma_term_limit_value():
     # (n1 n2 / 2) log(1 - 1/c2)
-    assert gamma_term_log_limit(2.0, 1, 1) == pytest.approx(
-        0.5 * np.log(0.5), rel=1e-12)
-    assert gamma_term_log_limit(4.0, 2, 3) == pytest.approx(
-        3.0 * np.log(0.75), rel=1e-12)
+    assert gamma_limit(2.0, 1, 1) == pytest.approx(0.5 * np.log(0.5), rel=1e-12)
+    assert gamma_limit(4.0, 2, 3) == pytest.approx(3.0 * np.log(0.75), rel=1e-12)
 
 
 def test_gamma_term_converges_at_rate_one_over_p():
     for n1, n2 in ((1, 1), (2, 2), (3, 4)):
-        limit = gamma_term_log_limit(2.0, n1, n2)
+        limit = gamma_limit(2.0, n1, n2)
         for p in (10 ** 3, 10 ** 4, 10 ** 5):
             err = abs(gamma_term_log(p, 2.0 * p, n1, n2) - limit)
             assert err < 5.0 * n1 * n2 / p, (n1, n2, p, err)
@@ -116,18 +85,11 @@ def test_gamma_term_converges_at_rate_one_over_p():
 def test_domain_errors():
     with pytest.raises(DomainError):
         log_multigamma(5, 1.9)  # needs a > (p-1)/2
-    with pytest.raises(DomainError):
-        GammaRatioSpec(p=5, nu0=3.0, l=2, m=0)  # nu0 <= p-1
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="marginals need nu0 >= p"):
         gamma_term_log(10, 8.0, 1, 1)  # nu0 + 1 - p <= 0
+    with pytest.raises(DomainError, match="marginals need nu0 >= p"):
+        gamma_term_log(10, 9.5, 1, 1)  # p - 1 < nu0 < p
     with pytest.raises(DomainError):
         gamma_term_log(10, 12.0, -1, 2)
     with pytest.raises(DomainError):
-        gamma_term_log_limit(1.0, 1, 1)  # needs c2 > 1
-
-
-@given(st.floats(0.51, 60.0))
-@settings(max_examples=40, deadline=None)
-def test_log_gamma_matches_scipy_everywhere_used(x):
-    from scipy.special import gammaln
-    assert log_gamma(x) == pytest.approx(float(gammaln(x)), rel=1e-14)
+        RobustPriorSpec(1.0, 1.0)  # the gamma limit needs c2 > 1

@@ -5,6 +5,7 @@ from math import lgamma, log, pi
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from niwclust.errors import ConstantRow, DomainError, NotPositiveDefinite
 from niwclust.niw import (
@@ -12,7 +13,6 @@ from niwclust.niw import (
     NiwPrior,
     RobustPriorSpec,
     cluster_log_marginal,
-    cluster_log_marginal_dual,
     robust_prior,
     row_standardize,
     transform_data,
@@ -71,6 +71,20 @@ def test_marginal_matches_predictive_chain_small_p():
             assert abs(mine - ref) / max(1.0, abs(ref)) < 1e-9, (p, n)
 
 
+@given(case=oracles.rows_and_scalar_prior())
+@example(case=(np.array([[0.7]]), (np.zeros(1), 1.0, 1.0, 1.0)))
+@example(case=(np.array([[0.3, -1.2]] * 3), (np.zeros(2), 0.5, 2.0, 0.8)))
+@settings(max_examples=60, deadline=None)
+def test_both_forms_match_predictive_chain(case):
+    # n = 1, p = 1 and duplicate rows included
+    ys, args = case
+    prior = NiwPrior(*args)
+    ref = oracles.t_chain_log_marginal(ys, *args)
+    for form in ("primal", "dual"):
+        mine = cluster_log_marginal(ClusterView(ys), prior, form=form)
+        assert abs(mine - ref) / max(1.0, abs(ref)) < 1e-9, form
+
+
 # ------------------------------------------------- primal/dual bridge
 
 def test_primal_and_dual_agree():
@@ -83,7 +97,7 @@ def test_primal_and_dual_agree():
         ys = rng.standard_normal((n, p)) * (0.3 + rng.random())
         c = ClusterView(ys)
         primal = cluster_log_marginal(c, prior, form="primal")
-        dual = cluster_log_marginal_dual(ClusterView(ys), prior)
+        dual = cluster_log_marginal(ClusterView(ys), prior, form="dual")
         assert abs(primal - dual) < 1e-8 * max(1.0, abs(primal))
 
 
@@ -91,7 +105,7 @@ def test_dual_rejects_matrix_scale():
     rng = np.random.default_rng(14)
     prior = random_prior(rng, 4, scalar=False)
     with pytest.raises(DomainError):
-        cluster_log_marginal_dual(ClusterView(np.ones((2, 4))), prior)
+        cluster_log_marginal(ClusterView(np.ones((2, 4))), prior, form="dual")
 
 
 def test_auto_form_picks_dual_for_wide_data():
@@ -99,7 +113,7 @@ def test_auto_form_picks_dual_for_wide_data():
     ys = rng.standard_normal((3, 500))
     prior = robust_prior(500, RobustPriorSpec(1.0, 2.0))
     auto = cluster_log_marginal(ClusterView(ys), prior)
-    dual = cluster_log_marginal_dual(ClusterView(ys), prior)
+    dual = cluster_log_marginal(ClusterView(ys), prior, form="dual")
     assert auto == dual
 
 
@@ -108,7 +122,7 @@ def test_dual_is_fast_and_finite_at_p_10000():
     ys = row_standardize(rng.standard_normal((2, 10 ** 4)))
     prior = robust_prior(10 ** 4, RobustPriorSpec(1.0, 2.0))
     t0 = time.time()
-    val = cluster_log_marginal_dual(ClusterView(ys), prior)
+    val = cluster_log_marginal(ClusterView(ys), prior, form="dual")
     assert time.time() - t0 < 0.1
     assert np.isfinite(val)
 
@@ -117,7 +131,7 @@ def test_empty_cluster_marginal_is_zero():
     prior = NiwPrior(np.zeros(3), 1.0, 5.0, 1.0)
     empty = ClusterView(np.empty((0, 3)))
     assert cluster_log_marginal(empty, prior) == 0.0
-    assert cluster_log_marginal_dual(ClusterView(np.empty((0, 3))), prior) == 0.0
+    assert cluster_log_marginal(empty, prior, form="dual") == 0.0
 
 
 def test_unknown_form_rejected():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from niwclust.errors import DomainError
 from niwclust.niw import (
@@ -58,6 +60,23 @@ def test_breakdown_terms_sum_to_direct_marginal_difference():
         assert br.total_likelihood == pytest.approx(direct, rel=1e-8, abs=1e-8)
         assert br.total_posterior == pytest.approx(br.eppf + br.total_likelihood,
                                                    abs=1e-12)
+
+
+@given(case=oracles.rows_and_scalar_prior(min_n=2), cut=st.integers(1, 5))
+@example(case=(np.array([[0.7], [-0.4]]), (np.zeros(1), 1.0, 1.0, 1.0)), cut=1)
+@example(case=(np.array([[0.3, -1.2]] * 4), (np.zeros(2), 0.5, 2.0, 0.8)), cut=2)
+@settings(max_examples=60, deadline=None)
+def test_total_likelihood_matches_predictive_chain_difference(case, cut):
+    # singleton clusters, p = 1 and duplicate rows (within and across
+    # the two clusters) included
+    data, args = case
+    n1 = min(cut, data.shape[0] - 1)
+    labels = [1] * n1 + [2] * (data.shape[0] - n1)
+    br = merge_log_ratio(data, Partition(labels), 1, 2, NiwPrior(*args), CrpPrior(1.0))
+    parts = [oracles.t_chain_log_marginal(rows, *args)
+             for rows in (data[:n1], data[n1:], data)]
+    ref = parts[0] + parts[1] - parts[2]
+    assert abs(br.total_likelihood - ref) < 1e-9 * max(1.0, sum(map(abs, parts)))
 
 
 def test_total_invariant_under_joint_rescaling():

@@ -94,6 +94,8 @@ def test_sampler_needs_nu0_at_least_p():
         init_state(data, prior, CrpPrior(1.0), 0)
     with pytest.raises(DomainError, match="marginals need nu0 >= p"):
         run_chain(data, prior, CrpPrior(1.0), sweeps=2, burnin=0, seed=0)
+    with pytest.raises(DomainError, match="marginals need nu0 >= p"):
+        merge_log_ratio(data, Partition([1, 1, 2, 2, 2]), 1, 2, prior, CrpPrior(1.0))
 
 
 def test_co_clustering_matrix_shape_and_blocks():
@@ -306,9 +308,21 @@ def test_non_finite_data_is_rejected_with_its_position(bad):
 
 def test_data_overflowing_the_gram_matrix_is_rejected():
     data, prior = _mixing_problem(n=6)
-    data[4, 0] = 1e200
-    with pytest.raises(DomainError, match="row 5 overflows"):
-        init_state(data, prior, CrpPrior(1.0), 0)
+    data[0, 0] = 4.0
+    crp = CrpPrior(1.0)
+    calls = (
+        lambda: init_state(data, prior, crp, 0),
+        lambda: run_chain(data, prior, crp, sweeps=2, burnin=0, seed=0),
+        lambda: cluster_log_marginal(ClusterView(data), prior, form="dual"),
+        lambda: merge_log_ratio(data, Partition([1, 1, 1, 2, 2, 2]), 1, 2, prior, crp),
+        lambda: projector_residual(data),
+    )
+    # at 1e308 the cross term of rows 1 and 5 overflows as well
+    for big in (1e200, 1e308):
+        data[4, 0] = big
+        for call in calls:
+            with pytest.raises(DomainError, match="row 5 overflows"):
+                call()
 
 
 def test_non_finite_weight_raises_and_rolls_back():
