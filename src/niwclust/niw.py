@@ -122,6 +122,14 @@ def spd_log_det(m) -> float:
     return float(2.0 * np.log(np.diag(lower)).sum())
 
 
+def _check_finite_parameter(name: str, a: NDArray[np.float64]) -> None:
+    """Reject a prior array with a NaN or infinite entry, naming it."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        where = ", ".join(str(k) for k in np.argwhere(bad)[0])
+        raise DomainError(f"{name}[{where}] is {a[bad][0]}; {name} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class NiwPrior:
     """Normal-Inverse-Wishart prior (mu0, kappa0, nu0, Lambda0).
@@ -148,6 +156,7 @@ class NiwPrior:
         mu0 = np.asarray(self.mu0, dtype=float)
         if mu0.ndim != 1 or mu0.size < 1:
             raise DomainError(f"mu0 must be a vector, got shape {mu0.shape}")
+        _check_finite_parameter("mu0", mu0)
         object.__setattr__(self, "mu0", mu0)
         p = mu0.size
         if not self.kappa0 > 0:
@@ -156,8 +165,10 @@ class NiwPrior:
             raise DomainError(f"nu0 must exceed p-1={p - 1}, got {self.nu0}")
         if np.isscalar(self.lambda0) or np.ndim(self.lambda0) == 0:
             lam = float(self.lambda0)
-            if not lam > 0:
-                raise DomainError(f"scalar lambda0 must be positive, got {lam}")
+            if not 0 < lam < np.inf:
+                raise DomainError(
+                    f"scalar lambda0 must be positive and finite, got {lam}"
+                )
             object.__setattr__(self, "lambda0", lam)
         else:
             lam = np.asarray(self.lambda0, dtype=float)
@@ -165,6 +176,7 @@ class NiwPrior:
                 raise DomainError(
                     f"lambda0 shape {lam.shape} does not match p={p}"
                 )
+            _check_finite_parameter("lambda0", lam)
             object.__setattr__(self, "lambda0", lam)
             spd_log_det(lam)  # raises NotPositiveDefinite when invalid
 

@@ -13,20 +13,27 @@ coded predictive density; the weights come straight from the same
 marginal the rest of the package evaluates, via a per-chain cache of
 the transformed Gram matrix and of each cluster's inverse of I + G_c.
 After an O(n^2 p) setup, one weight costs O(n_c^2) (a bordered append)
-and removing a point O(1) (a Schur deletion); a memo answers repeated
-weights and all singleton candidates of a point are scored in one
-vectorised step.
+and removing a point O(1) (a Schur deletion); all singleton candidates
+of a point are scored in one vectorised step.  A memo answers repeated
+weights.  Its key is the XOR of fixed random codes of the members
+(Zobrist hashing [2]), so removing or adding a point changes a key by
+one XOR: a point whose weights all hit the memo costs O(k), and member
+tuples are rebuilt only when a point changes cluster.
 
 References
 ----------
 .. [1] R. M. Neal, "Markov chain sampling methods for Dirichlet process
    mixture models", JCGS 9(2), 2000.
+.. [2] A. L. Zobrist, "A new hashing method with application for game
+   playing", Technical Report 88, University of Wisconsin, 1970.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from math import exp, inf, isfinite, log
+from operator import xor
+from random import Random
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -53,11 +60,25 @@ __all__ = [
     "run_chain",
 ]
 
-# The memo holds at most this many key indices in total (tuple slots of
-# 8 bytes each, about 32 MB), whatever the cluster sizes.
+# The memo holds member sets of at most this many points in total,
+# whatever the cluster sizes.  The worst case is all pairs: 2^21 entries
+# of a 128-bit int key and a float, about 216 MB (108 bytes an entry
+# under tracemalloc).  A 200-sweep chain at n = 400, p = 300 peaks at
+# about 0.4 M points in 81k entries and never clears.
 _MEMO_BUDGET = 1 << 22
 
+# Seed of the per-point memo codes.  They have their own generator, so the
+# chain's draws do not depend on them.
+_CODE_SEED = 1970
+
 _SCHUR_FLOOR = 1.0 - 1e-10
+
+
+def _point_codes(n: int) -> list:
+    """One random 128-bit code per point.  The XOR of a member set's codes
+    is its memo key; two sets share one with odds of about 2^-128."""
+    rng = Random(_CODE_SEED)
+    return [rng.getrandbits(128) for _ in range(n)]
 
 
 def _drifted(schur: float) -> bool:
@@ -91,7 +112,10 @@ class _ChainCache:
     cluster of two or more points.  Adding a point to a cluster is a
     bordered append to its ``_Factor``, O(n_c^2); removing one is a
     Schur deletion, O(1) for the marginal.
-    A memo keyed by member tuple answers repeated evaluations.
+    A memo answers repeated evaluations.  It is keyed by ``code(idx)``,
+    the XOR of the members' ``codes``, so the key of a cluster with a
+    point added or removed is one XOR away and a memo hit costs O(1)
+    whatever the cluster size.  Only misses touch the factors.
 
     Moving a point between clusters does not touch the factors at once:
     the store records (base factor, pending moves) and replays the moves
@@ -113,12 +137,17 @@ class _ChainCache:
         self._diag = self.gram.diagonal().copy()
         one = 1.0 + self._diag
         self.single = self._value(1, np.log(one), 1.0 / one).tolist()
+        self.codes = _point_codes(data.shape[0])
         self.factors: dict = {}
         self._memo: dict = {}
         self._memo_size = 0
 
-    def _remember(self, keys: list, values: list) -> None:
-        size = sum(map(len, keys))
+    def code(self, idx) -> int:
+        """Memo key of the member set idx."""
+        return reduce(xor, map(self.codes.__getitem__, idx), 0)
+
+    def _remember(self, keys: list, values: list, size: int) -> None:
+        """Store values under keys; size is their member sets' total size."""
         if self._memo_size + size > _MEMO_BUDGET:
             self._memo.clear()
             self._memo_size = 0
@@ -235,56 +264,58 @@ class _ChainCache:
         if len(idx) == 1:
             return self.single[idx[0]]
         self.factors.setdefault(idx, (None, ()))
-        value = self._memo.get(idx)
+        key = self.code(idx)
+        value = self._memo.get(key)
         if value is None:
             value = self._factor_value(idx)
-            self._remember([idx], [value])
+            self._remember([key], [value], len(idx))
         return value
 
     def _factor_value(self, idx: tuple) -> float:
         f = self._factor(idx)
         return float(self._value(len(idx), f.log_det, f.s))
 
-    def removed(self, members: tuple, i: int):
-        """(members without i, its log marginal) for a current cluster."""
-        k = bisect_left(members, i)
-        rest = members[:k] + members[k + 1 :]
-        if len(rest) == 1:
-            return rest, self.single[rest[0]]
-        value = self._memo.get(rest)
+    def removed(self, members: tuple, i: int, key: int) -> float:
+        """Log marginal of current cluster members (three or more points)
+        without i, whose code is key."""
+        value = self._memo.get(key)
         if value is None:
             _, f, pos, d = self._stable(members, lambda f: self._deletion(f, i))
+            size = len(members) - 1
             value = float(
-                self._value(len(rest), f.log_det + log(d), f.s - f.b[pos] ** 2 / d)
+                self._value(size, f.log_det + log(d), f.s - f.b[pos] ** 2 / d)
             )
-            self._remember([rest], [value])
-        return rest, value
+            self._remember([key], [value], size)
+        return value
 
-    def grown(self, i: int, idxs: list):
-        """Member tuples and log marginals of each cluster in idxs plus i.
+    def grown(self, i: int, labs: list, clusters: dict, code: dict, home=None) -> list:
+        """Log marginals of clusters[lab] plus i for each lab in labs.
 
+        code[lab] is the code of clusters[lab].  clusters[home], if given,
+        is the current cluster of i itself (code[home] leaves i out): its
+        value is that of clusters[home].
         The singleton clusters that miss the memo are scored together in
         closed form from their 2 x 2 blocks.
         """
-        keys, values, at, pairs = [], [], [], []
-        for idx in idxs:
-            if len(idx) == 1:
-                j = idx[0]
-                key = (j, i) if j < i else (i, j)
-                value = self._memo.get(key)
-                if value is None:
-                    at.append(len(keys))
-                    pairs.append(key)
-            else:
-                k = bisect_left(idx, i)
-                key = idx[:k] + (i,) + idx[k:]
-                value = self._memo.get(key)
-                if value is None:
+        memo = self._memo
+        ci = self.codes[i]
+        values, at, keys = [], [], []
+        for lab in labs:
+            key = code[lab] ^ ci
+            value = memo.get(key)
+            if value is None:
+                idx = clusters[lab]
+                if len(idx) == 1:
+                    at.append(len(values))
+                    keys.append(key)
+                elif lab == home:
+                    value = self._factor_value(idx)
+                    self._remember([key], [value], len(idx))
+                else:
                     value = self._grow(idx, i, key)
-            keys.append(key)
             values.append(value)
         if at:
-            js = [idxs[k][0] for k in at]
+            js = [clusters[labs[k]][0] for k in at]
             a = 1.0 + self._diag[js]
             c = 1.0 + self._diag[i]
             g = self.gram[i, js]
@@ -292,19 +323,14 @@ class _ChainCache:
             scored = self._value(2, np.log(det), (a + c - 2.0 * g) / det).tolist()
             for k, value in zip(at, scored):
                 values[k] = value
-            self._remember(pairs, scored)
-        return keys, values
+            self._remember(keys, scored, 2 * len(at))
+        return values
 
-    def _grow(self, idx: tuple, i: int, key: tuple) -> float:
-        if key in self.factors:
-            # key is the cluster i was just taken out of
-            value = self._factor_value(key)
-        else:
-            schur, f, _, t = self._stable(idx, lambda f: self._border(f, i))
-            value = float(
-                self._value(len(key), f.log_det + log(schur), f.s + t * t / schur)
-            )
-        self._remember([key], [value])
+    def _grow(self, idx: tuple, i: int, key: int) -> float:
+        schur, f, _, t = self._stable(idx, lambda f: self._border(f, i))
+        size = len(idx) + 1
+        value = float(self._value(size, f.log_det + log(schur), f.s + t * t / schur))
+        self._remember([key], [value], size)
         return value
 
 
@@ -403,6 +429,10 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     the RNG and the chain's factors) before re-raising, so a retried
     sweep draws what the failed one would have.  Labels are canonical
     on return.
+
+    Each cluster's memo code is taken once at sweep entry and then
+    updated by one XOR per removal or addition; member tuples are
+    rebuilt only for a point that changes cluster.
     """
     data = np.asarray(data, dtype=float)
     chain = state.chain
@@ -424,24 +454,35 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
         dict(chain.factors),
         state.rng.bit_generator.state,
     )
+    codes = chain.codes
+    code = {lab: chain.code(idx) for lab, idx in clusters.items()}
     try:
         for i in range(n):
+            ci = codes[i]
             h = labels[i]
             members = clusters[h]
-            if len(members) == 1:
-                rest = ()
-                del clusters[h]
-                del log_ml[h]
+            size = len(members)
+            if size == 1:
+                del clusters[h], log_ml[h], code[h]
+            elif size == 2:
+                j = members[0] if members[1] == i else members[1]
+                clusters[h] = (j,)
+                log_ml[h] = chain.single[j]
+                code[h] = codes[j]
             else:
-                rest, log_ml[h] = chain.removed(members, i)
-                clusters[h] = rest
+                # clusters[h] keeps i until i leaves; only the code drops it
+                code[h] ^= ci
+                log_ml[h] = chain.removed(members, i, code[h])
 
             candidates = sorted(clusters)
-            grown, values = chain.grown(i, [clusters[lab] for lab in candidates])
+            values = chain.grown(i, candidates, clusters, code, h if size > 2 else None)
             log_w = [
                 log(len(clusters[lab])) + value - log_ml[lab]
                 for lab, value in zip(candidates, values)
             ]
+            if size > 2:
+                k = bisect_left(candidates, h)
+                log_w[k] = log(size - 1) + values[k] - log_ml[h]
             log_w.append(log(alpha) + chain.single[i])
             if not isfinite(sum(log_w)):
                 raise FloatingPointError(
@@ -460,13 +501,22 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                     break
             if pick < len(candidates):
                 lab = candidates[pick]
-                target, key, value = clusters[lab], grown[pick], values[pick]
+                value = values[pick]
             else:
                 lab = max(clusters) + 1 if clusters else 1
-                target, key, value = (), (i,), chain.single[i]
+                value = chain.single[i]
             if lab != h:
+                if size > 2:
+                    k = bisect_left(members, i)
+                    clusters[h] = members[:k] + members[k + 1 :]
+                rest = clusters.get(h, ())
+                target = clusters.get(lab, ())
+                k = bisect_left(target, i)
+                key = clusters[lab] = target[:k] + (i,) + target[k:]
                 chain.move(i, members, rest, target, key)
-            clusters[lab] = key
+            else:
+                clusters[h] = members  # i stays where it was
+            code[lab] = code.get(lab, 0) ^ ci
             log_ml[lab] = value
             labels[i] = lab
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):

@@ -1,5 +1,7 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,34 @@ def test_cluster_with_truth(tmp_path, capsys):
     assert trace.names == ("sweep", "k")
     assert trace.values.shape == (30, 2)
     assert "ari=" in capsys.readouterr().out
+
+
+# sha256 of co_clustering.csv and k_trace.csv below their metadata line
+# (which names the input path), as written when the sampler's memo was
+# keyed by member tuples: a speed-up of the sampler must flip no draw
+_CLUSTER_PINS = {
+    "robust": ("3cf6e3d59335ee1fcbae5f0a82b03f4321fd4dd29067a15ce3d1b9069efc02c6",
+               "b351a7ac7ebcfb352ed0620f54df5bff34cee7949b92fc28906d0becc1043d2d"),
+    "naive": ("f023cd15015e14a01c429114e47db685fca8b43e0f88d1d4be994baa41214d44",
+              "bd884101608c1d1a6ba2d31e9b8450bfc896f063c7b04cf53281f49c8b83ccd4"),
+}
+
+
+@pytest.mark.parametrize("prior, separation", [("robust", 4.0), ("naive", 2.0)])
+def test_cluster_outputs_are_byte_pinned(tmp_path, prior, separation):
+    # robust settles at k = 2; naive keeps ~15 clusters moving every sweep
+    data, _ = generate(GenSpec(kind="two_cluster_mixture", n=60, p=30,
+                               separation=separation, seed=5))
+    data_path = tmp_path / "data.csv"
+    write_csv(data_path, data)
+    assert main(["cluster", "--input", str(data_path), "--prior", prior,
+                 "--sweeps", "30", "--burnin", "10", "--seed", "7",
+                 "--outdir", str(tmp_path)]) == 0
+    digests = tuple(
+        hashlib.sha256(_read_bytes(tmp_path / name).split(b"\n", 1)[1]).hexdigest()
+        for name in ("co_clustering.csv", "k_trace.csv")
+    )
+    assert digests == _CLUSTER_PINS[prior]
 
 
 def test_config_errors_exit_2(tmp_path):

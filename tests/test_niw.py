@@ -174,6 +174,21 @@ def test_prior_validation():
         NiwPrior(np.zeros(2), 1.0, 5.0, np.array([[1.0, 3.0], [3.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_prior_is_rejected_by_name(bad):
+    # caught at construction, not later as an asymmetric matrix or a
+    # Gram overflow of some data row
+    with pytest.raises(DomainError, match=r"mu0\[1\] is .*mu0 must be finite"):
+        NiwPrior(np.array([0.0, bad]), 1.0, 5.0, 1.0)
+    lam = np.eye(2)
+    lam[1, 0] = bad
+    with pytest.raises(DomainError, match=r"lambda0\[1, 0\] is .*must be finite"):
+        NiwPrior(np.zeros(2), 1.0, 5.0, lam)
+    if bad > 0:
+        with pytest.raises(DomainError, match="lambda0 must be positive and finite"):
+            NiwPrior(np.zeros(2), 1.0, 5.0, bad)
+
+
 def test_scalar_and_matrix_lambda0_agree():
     rng = np.random.default_rng(11)
     ys = rng.standard_normal((4, 6))

@@ -159,11 +159,21 @@ def _direct(data, prior, idx):
     return cluster_log_marginal(ClusterView(data[list(idx)]), prior)
 
 
+def _exact_codes(monkeypatch):
+    # code 1 << j makes each memo key the bitmask of its member set
+    monkeypatch.setattr(sampler, "_point_codes", lambda n: [1 << j for j in range(n)])
+
+
+def _members(key):
+    return tuple(j for j in range(key.bit_length()) if key >> j & 1)
+
+
 def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     data, prior = _mixing_problem()
     # a memo too small to answer anything sends every evaluation
     # through the incrementally updated factors
     monkeypatch.setattr(sampler, "_MEMO_BUDGET", data.shape[0])
+    _exact_codes(monkeypatch)
     counts = {"append": 0, "delete": 0}
     cache = sampler._ChainCache
 
@@ -183,7 +193,8 @@ def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     assert state.k() > 1
     assert set(chain.factors) == {idx for idx in state.clusters.values() if len(idx) > 1}
     cached = [(idx, chain._factor_value(idx)) for idx in list(chain.factors)]
-    cached += list(chain._memo.items())
+    cached += [(_members(key), value) for key, value in chain._memo.items()]
+    assert len(cached) > len(chain.factors)
     for idx, value in cached:
         direct = _direct(data, prior, idx)
         assert value == pytest.approx(direct, rel=1e-8)
@@ -193,25 +204,32 @@ def test_batched_singleton_weights_match_per_candidate():
     data, prior = _mixing_problem(n=12, p=30)
     chain = sampler._ChainCache(data, prior)
     for i in (0, 5, 11):
-        idxs = [(j,) for j in range(12) if j != i]
-        keys, values = chain.grown(i, idxs)
-        for key, value in zip(keys, values):
-            f = chain._build(key)
+        labs = [j for j in range(12) if j != i]
+        pairs = [tuple(sorted((j, i))) for j in labs]
+        values = chain.grown(
+            i, labs, {j: (j,) for j in labs}, {j: chain.code((j,)) for j in labs}
+        )
+        assert len(values) == len(pairs) == 11
+        for pair, value in zip(pairs, values):
+            f = chain._build(pair)
             one_by_one = float(chain._value(2, f.log_det, f.s))
             assert value == pytest.approx(one_by_one, rel=1e-12)
-            assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
+            assert value == pytest.approx(_direct(data, prior, pair), rel=1e-10)
+            assert chain._memo[chain.code(pair)] == value
 
 
 def test_memo_stays_within_index_budget(monkeypatch):
     data, prior = _mixing_problem(n=12)
     monkeypatch.setattr(sampler, "_MEMO_BUDGET", 40)
+    _exact_codes(monkeypatch)
     state = init_state(data, prior, CrpPrior(1.0), 2, init="single")
     chain = state.chain
     remember = chain._remember
 
-    def checked(keys, values):
-        remember(keys, values)
-        assert chain._memo_size == sum(len(k) for k in chain._memo) <= 40
+    def checked(keys, values, size):
+        assert size == sum(len(_members(k)) for k in keys)
+        remember(keys, values, size)
+        assert chain._memo_size == sum(len(_members(k)) for k in chain._memo) <= 40
 
     monkeypatch.setattr(chain, "_remember", checked)
     for _ in range(30):
@@ -221,6 +239,24 @@ def test_memo_stays_within_index_budget(monkeypatch):
             idx for idx in state.clusters.values() if len(idx) > 1
         }
     state.check_consistency(data)
+
+
+def test_shared_memo_code_is_caught_by_the_debug_check(monkeypatch):
+    # points 0 and 1 share a code, so e.g. {0, 2} and {1, 2} share a memo
+    # key and one answers for the other; the debug check must see it
+    data, prior = _mixing_problem(n=12)
+    codes = sampler._point_codes
+
+    def colliding(n):
+        out = codes(n)
+        out[1] = out[0]
+        return out
+
+    kw = dict(sweeps=30, burnin=0, seed=2, init="singletons", debug=True)
+    run_chain(data, prior, CrpPrior(1.0), **kw)
+    monkeypatch.setattr(sampler, "_point_codes", colliding)
+    with pytest.raises(AssertionError, match="marginal cache off"):
+        run_chain(data, prior, CrpPrior(1.0), **kw)
 
 
 @given(seed=st.integers(0, 10 ** 6), steps=st.integers(1, 12))
@@ -272,13 +308,15 @@ def test_drifted_factor_is_rebuilt():
 
     # (A^-1)_ii = 2 means a Schur complement of 1/2 < 1: drift
     chain.factors[members] = good._replace(inv=2.0 * np.eye(4))
-    rest, value = chain.removed(members, 3)
+    rest = (0, 2, 5)
+    value = chain.removed(members, 3, chain.code(rest))
     assert value == pytest.approx(_direct(data, prior, rest), rel=1e-10)
     assert np.allclose(chain.factors[members].inv, good.inv)
     # a non-finite factor is drift too, for a grow as for a removal
     nan_factor = good._replace(inv=np.full((4, 4), np.nan))
     chain.factors[members] = nan_factor
-    (key,), (value,) = chain.grown(7, [members])
+    key = (0, 2, 3, 5, 7)
+    (value,) = chain.grown(7, [1], {1: members}, {1: chain.code(members)})
     assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
     # and so is a pending move that cannot be replayed on its base
     del chain.factors[members]
@@ -352,11 +390,11 @@ def test_failed_sweep_rolls_back_completely(monkeypatch):
             grown = chain.grown
             calls = []
 
-            def failing(i, idxs):
+            def failing(i, *args):
                 calls.append(i)
                 if len(calls) == 13:
                     raise FloatingPointError("injected")
-                return grown(i, idxs)
+                return grown(i, *args)
 
             monkeypatch.setattr(chain, "grown", failing)
             factors = dict(chain.factors)
