@@ -21,20 +21,20 @@ References
    distribution", technical note, 2007.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .errors import ConstantRow, DomainError, NotPositiveDefinite
 
 __all__ = [
     "LOG_PI",
-    "log_multigamma",
+    "lgam",
+    "log_gamma",
     "spd_log_det",
     "NiwPrior",
     "RobustPriorSpec",
@@ -44,6 +44,7 @@ __all__ = [
     "check_finite",
     "transform_data",
     "gram_matrix",
+    "forward_solve",
     "factor_gram",
     "check_nu0",
     "size_constants",
@@ -63,25 +64,73 @@ LOG_PI = float(np.log(np.pi))
 PIVOT_RTOL = 1e-12
 
 
-def log_multigamma(p: int, a: float) -> float:
-    """log Gamma_p(a) = p(p-1)/4 * log pi + sum_j log Gamma(a - (j-1)/2).
+# Cephes lgam polynomials, highest power first: the Stirling correction
+# in 1/x^2 (the short form from x = 1000 on) and the numerator and
+# denominator of the rational approximation of log Gamma on [2, 3).
+_LGAM_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                  7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                  8.33333333333331927722e-2)
+_LGAM_STIRLING_SHORT = (7.9365079365079365079365e-4,
+                        -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_LGAM_NUM = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+             -3.31612992738871184744e5, -1.16237097492762307383e6,
+             -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_DEN = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
+             -2.20528590553854454839e5, -1.13933444367982507207e6,
+             -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
 
-    The package never forms Gamma_p itself: :func:`size_constants` and
-    ``ratio.gamma_term_log`` telescope its ratios.  This direct form is
-    the reference that the acceptance gate for the gamma machinery and
-    the gamma-term tests compare those telescoped sums against.
 
-    Raises
-    ------
-    DomainError
-        If p < 1 or a <= (p - 1) / 2 (the pole region).
+def _polevl(x: float, coef: tuple) -> float:
+    ans = 0.0
+    for c in coef:
+        ans = ans * x + c
+    return ans
+
+
+def lgam(x: float) -> float:
+    """log Gamma(x) for x > 0, a port of the Cephes routine ``lgam``.
+
+    Cephes (S. L. Moshier, 1989) is what scipy's ``gammaln`` is built
+    on.  The port repeats its floating-point operations in order, with
+    ``math.log`` (the C library log), so its results are the same bits.
+    Below 13 the argument is shifted into [2, 3) by the recurrence
+    Gamma(x + 1) = x Gamma(x) and a rational approximation applies; from
+    13 on Stirling's series does, its correction dropped above 1e8.  NaN
+    passes through and x > 2.556348e305 gives inf.  The package only
+    passes arguments >= 1/2 (:func:`check_nu0`), so the reflection
+    branch for negative x is left out: x <= 0 is outside the domain.
     """
-    if p < 1:
-        raise DomainError(f"dimension must be >= 1, got {p}")
-    if not a > (p - 1) / 2.0:
-        raise DomainError(f"log_multigamma needs a > (p-1)/2, got a={a}, p={p}")
-    shifts = a - 0.5 * np.arange(p)
-    return float(p * (p - 1) / 4.0 * LOG_PI + gammaln(shifts).sum())
+    if x != x or x == math.inf:
+        return x
+    if x < 13.0:
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_NUM) / _polevl(x, _LGAM_DEN)
+    if x > 2.556348e305:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    series = _LGAM_STIRLING_SHORT if x >= 1000.0 else _LGAM_STIRLING
+    return q + _polevl(1.0 / (x * x), series) / x
+
+
+def log_gamma(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """:func:`lgam` of each entry of a 1-d array."""
+    return np.fromiter(map(lgam, a.tolist()), dtype=float, count=a.size)
 
 
 def spd_log_det(m) -> float:
@@ -369,6 +418,20 @@ class GramFactor(NamedTuple):
     z: NDArray[np.float64]
 
 
+def forward_solve(lower: NDArray[np.float64], rhs: NDArray[np.float64]):
+    """Solve L Z = rhs for a lower-triangular L by forward substitution.
+
+    Row i is (rhs[i] - L[i, :i] @ Z[:i]) / L[i, i]; rhs may be a vector
+    or a matrix.  Unlike a general solve it does not pivot; with
+    OpenBLAS a vector rhs gives LAPACK's triangular-solve result bit
+    for bit up to n = 50, and within 1e-15 relative beyond.
+    """
+    z = np.empty(rhs.shape)
+    for i in range(lower.shape[0]):
+        z[i] = (rhs[i] - lower[i, :i] @ z[:i]) / lower[i, i]
+    return z
+
+
 def factor_gram(gram: NDArray[np.float64]) -> GramFactor:
     """Factor I + G, the n x n matrix of every dual-form evaluation.
 
@@ -381,7 +444,7 @@ def factor_gram(gram: NDArray[np.float64]) -> GramFactor:
         lower = np.linalg.cholesky(gram + np.eye(n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - G is PSD
         raise NotPositiveDefinite(str(exc)) from None
-    z = solve_triangular(lower, np.ones(n), lower=True, check_finite=False)
+    z = forward_solve(lower, np.ones(n))
     return GramFactor(lower, float(2.0 * np.log(np.diag(lower)).sum()), z)
 
 
@@ -412,7 +475,8 @@ def size_constants(prior: NiwPrior, n: int) -> NDArray[np.float64]:
     check_nu0(prior.nu0, p)
     sizes = np.arange(1, n + 1, dtype=float)
     gamma_ratio = np.cumsum(
-        gammaln((prior.nu0 + sizes) / 2.0) - gammaln((prior.nu0 + sizes - p) / 2.0)
+        log_gamma((prior.nu0 + sizes) / 2.0)
+        - log_gamma((prior.nu0 + sizes - p) / 2.0)
     )
     return np.concatenate(
         [

@@ -19,7 +19,6 @@ term, each for the data regime named in its docstring.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .niw import (
@@ -29,6 +28,7 @@ from .niw import (
     check_nu0,
     factor_gram,
     gram_matrix,
+    log_gamma,
     log_scalar_factor,
     transform_data,
 )
@@ -101,8 +101,8 @@ def gamma_term_log(p: int, nu0: float, n1: int, n2: int) -> float:
         return 0.0
     check_nu0(nu0, p)
     j = np.arange(1, n2 + 1, dtype=float)
-    up = gammaln((nu0 + j) / 2.0) - gammaln((nu0 + j - p) / 2.0)
-    down = gammaln((nu0 + j + n1 - p) / 2.0) - gammaln((nu0 + j + n1) / 2.0)
+    up = log_gamma((nu0 + j) / 2.0) - log_gamma((nu0 + j - p) / 2.0)
+    down = log_gamma((nu0 + j + n1 - p) / 2.0) - log_gamma((nu0 + j + n1) / 2.0)
     return float((up + down).sum())
 
 

@@ -37,7 +37,6 @@ from random import Random
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidConfig, NotPositiveDefinite
 from .niw import (
@@ -46,6 +45,7 @@ from .niw import (
     cluster_log_marginal,
     dual_log_marginal,
     factor_gram,
+    forward_solve,
     gram_matrix,
     size_constants,
     transform_data,
@@ -160,9 +160,7 @@ class _ChainCache:
         """Factor of idx from one Cholesky factor of its Gram block."""
         ii = np.asarray(idx, dtype=np.intp)
         f = factor_gram(self.gram[ii[:, None], ii])
-        lower_inv = solve_triangular(
-            f.lower, np.eye(ii.size), lower=True, check_finite=False
-        )
+        lower_inv = forward_solve(f.lower, np.eye(ii.size))
         return _Factor(
             ii,
             lower_inv.T @ lower_inv,

@@ -6,19 +6,43 @@ predictive-density chains, brute-force enumeration), so agreement is
 evidence of correctness rather than a tautology.
 """
 
+from functools import lru_cache
 from math import lgamma, log, pi
 
 import mpmath
 import numpy as np
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 from scipy.stats import multivariate_t
+
+from niwclust.errors import DomainError
 
 mpmath.mp.dps = 50
 
 
 # ------------------------------------------------------------ gamma
+
+def log_multigamma(p: int, a: float) -> float:
+    """log Gamma_p(a) = p(p-1)/4 * log pi + sum_j log Gamma(a - (j-1)/2).
+
+    The package never forms Gamma_p itself: ``niw.size_constants`` and
+    ``ratio.gamma_term_log`` telescope its ratios on the package's own
+    log-gamma port.  This direct form, on scipy's ``gammaln``, is the
+    reference their telescoped sums are checked against.
+
+    Raises
+    ------
+    DomainError
+        If p < 1 or a <= (p - 1) / 2 (the pole region).
+    """
+    if p < 1:
+        raise DomainError(f"dimension must be >= 1, got {p}")
+    if not a > (p - 1) / 2.0:
+        raise DomainError(f"log_multigamma needs a > (p-1)/2, got a={a}, p={p}")
+    shifts = a - 0.5 * np.arange(p)
+    return float(p * (p - 1) / 4.0 * np.log(np.pi) + gammaln(shifts).sum())
+
 
 def log_multigamma_mp(p: int, a: float) -> float:
     """Multivariate log gamma at 50 decimal digits.
@@ -150,22 +174,41 @@ def log_crp(labels, alpha: float) -> float:
             + lgamma(alpha) - lgamma(alpha + n))
 
 
+@lru_cache(maxsize=None)
+def _partition_terms(n: int, alpha: float) -> tuple:
+    """(partitions, log CRP of each, their clusters as row bitmasks).
+
+    Data-free, so it is computed once per (n, alpha).  Row r of the
+    (partitions, n) bitmask array holds the mask of label j + 1 in
+    column j, and 0 where partition r has fewer than j + 1 clusters.
+    """
+    parts = set_partitions(n)
+    masks = np.zeros((len(parts), n), dtype=np.intp)
+    for idx, labels in enumerate(parts):
+        for i, lab in enumerate(labels):
+            masks[idx, lab - 1] |= 1 << i
+    return parts, np.array([log_crp(labels, alpha) for labels in parts]), masks
+
+
 def exact_partition_posterior(data, log_marginal_fn, alpha: float) -> dict:
     """Posterior over every partition of the rows, by enumeration.
 
     log_marginal_fn maps a (m, p) row block to its cluster log
-    marginal.  Returns {canonical labels: probability}, normalized.
+    marginal.  It is called once per nonempty row subset (2^n - 1
+    times, keyed by the subset's bitmask), not once per cluster of
+    every partition.  Returns {canonical labels: probability},
+    normalized.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    parts = set_partitions(n)
-    logs = np.empty(len(parts))
-    for idx, labels in enumerate(parts):
-        lp = log_crp(labels, alpha)
-        for lab in set(labels):
-            rows = [i for i, l in enumerate(labels) if l == lab]
-            lp += log_marginal_fn(data[rows])
-        logs[idx] = lp
+    parts, crp, masks = _partition_terms(n, alpha)
+    subset_log_ml = np.zeros(1 << n)  # the empty mask adds 0
+    for mask in range(1, 1 << n):
+        rows = [i for i in range(n) if mask >> i & 1]
+        subset_log_ml[mask] = log_marginal_fn(data[rows])
+    logs = crp.copy()
+    for column in masks.T:  # one cluster at a time, labels ascending
+        logs += subset_log_ml[column]
     probs = np.exp(logs - logsumexp(logs))
     return dict(zip(parts, probs))
 

@@ -1,10 +1,14 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import niwclust
 from niwclust.cli import build_parser, config_from_args, main
 from niwclust.datagen import GenSpec, generate
 from niwclust.io import read_csv, write_csv
@@ -214,3 +218,42 @@ def test_custom_prior_paths(tmp_path):
     assert main(["cluster", "--input", str(data_path), "--prior",
                  f"custom:{bad_nu}", "--sweeps", "12", "--burnin", "2",
                  "--outdir", str(tmp_path)]) == 3
+
+
+# Imports niwclust with nothing blocked, checks that scipy stayed out,
+# then blocks scipy (an entry of None makes every import of it fail)
+# and runs each command once.
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import niwclust
+import niwclust.cli
+from niwclust.datagen import GenSpec, generate
+from niwclust.io import write_csv
+assert "scipy" not in sys.modules, "importing niwclust.cli loaded scipy"
+sys.modules["scipy"] = None
+out = sys.argv[2]
+data, _ = generate(GenSpec(kind="two_cluster_mixture", n=8, p=6,
+                           separation=6.0, seed=1))
+write_csv(out + "/data.csv", data)
+for argv in (
+    ["cluster", "--input", out + "/data.csv", "--sweeps", "6", "--burnin", "2"],
+    ["limits", "--p-grid", "40,80", "--replicates", "2"],
+    ["projector", "--p-grid", "20,50", "--n1", "5", "--replicates", "3"],
+    ["sweep", "--p-grid", "60", "--sweeps", "6", "--burnin", "2",
+     "--replicates", "1"],
+):
+    code = niwclust.cli.main(argv + ["--outdir", out])
+    assert code == 0, (argv, code)
+assert sys.modules.pop("scipy") is None
+assert "scipy" not in {m.split(".")[0] for m in sys.modules}
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only; the package and CLI must not load it
+    src = Path(niwclust.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(src), str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

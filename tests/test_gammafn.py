@@ -1,17 +1,42 @@
 """Multivariate gamma machinery against high-precision references."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from niwclust.errors import DomainError
-from niwclust.niw import LOG_PI, RobustPriorSpec, log_multigamma
+from niwclust.niw import LOG_PI, RobustPriorSpec, lgam
 from niwclust.ratio import analytic_limits, gamma_term_log
-from oracles import log_multigamma_mp
+from oracles import log_multigamma, log_multigamma_mp
 
 
 def rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
+
+
+def test_lgam_port_is_bit_identical_to_scipy_gammaln():
+    # limits.csv is byte-pinned, so the port must reproduce scipy's Cephes
+    # lgam exactly, not just closely (math.lgamma differs in the last bits)
+    rng = np.random.default_rng(11)
+    edges = [x for b in (2.0, 3.0, 13.0, 1000.0, 1e8)
+             for x in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf),
+                       b * (1 - 1e-9), b * (1 + 1e-9))]
+    args = np.concatenate([
+        rng.uniform(0.5, 2e5, 60_000),
+        rng.uniform(0.5, 13.0, 20_000),  # the rational branch
+        rng.uniform(13.0, 1000.0, 10_000),  # the long Stirling correction
+        np.arange(1, 4000) / 2.0,  # every half-integer 0.5 .. 1999.5
+        edges,
+        [0.5, 1.0, 1e300, 3e305, np.inf],
+    ])
+    mine = np.array([lgam(x) for x in args.tolist()])
+    ref = gammaln(args)
+    bad = np.flatnonzero(mine != ref)
+    assert bad.size == 0, list(zip(args[bad][:5], mine[bad][:5], ref[bad][:5]))
+    assert lgam(np.inf) == np.inf and lgam(3e305) == np.inf
+    assert math.isnan(lgam(math.nan)) and math.isnan(gammaln(math.nan))
 
 
 def test_log_multigamma_matches_mpmath():

@@ -1,10 +1,11 @@
-"""Log-determinants of symmetric positive definite matrices."""
+"""Log-determinants and triangular solves."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from niwclust.errors import NotPositiveDefinite
-from niwclust.niw import spd_log_det
+from niwclust.niw import forward_solve, spd_log_det
 
 
 def random_spd(rng, dim, jitter=1.0):
@@ -29,3 +30,25 @@ def test_not_positive_definite_raises():
     with pytest.raises(NotPositiveDefinite):
         ones = np.ones((2, 2))
         spd_log_det(ones)  # rank 1, pivot collapses
+
+
+def gram_cholesky(rng, n):
+    # the factor every dual-form evaluation solves with: I + G = L L^T
+    y = rng.standard_normal((n, n + 5)) * rng.uniform(0.1, 3.0)
+    return np.linalg.cholesky(y @ y.T + np.eye(n))
+
+
+def test_forward_solve_matches_lapack():
+    rng = np.random.default_rng(4)
+    # z = L^-1 1 of factor_gram: the same bits as LAPACK for every limits size
+    for n in list(range(1, 30)) * 3 + [50] * 5:
+        lower = gram_cholesky(rng, n)
+        z = forward_solve(lower, np.ones(n))
+        assert np.array_equal(z, solve_triangular(lower, np.ones(n), lower=True)), n
+    # L^-1 of the sampler's factors, and larger vectors: rounding-level only
+    for n in (2, 10, 29, 50, 100, 200):
+        lower = gram_cholesky(rng, n)
+        for rhs in (np.eye(n), np.ones(n)):
+            ref = solve_triangular(lower, rhs, lower=True)
+            err = np.linalg.norm(forward_solve(lower, rhs) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-15, (n, rhs.ndim, err)

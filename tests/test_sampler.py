@@ -45,6 +45,41 @@ def test_chain_recovers_exact_posterior_on_four_points():
     assert tv < 0.05
 
 
+# Gate 9's single-site chain, started from singletons, reports this
+# k_mode on the five datasets below; the exact posterior disagrees.
+GATE9_CHAIN_K_MODE = 2
+
+
+def test_exact_posterior_on_gate9_data_is_one_cluster():
+    # full enumeration of Bell(10) = 115,975 partitions per dataset
+    p, n = 2000, 10
+    priors = {"robust": robust_prior(p, RobustPriorSpec(1.0, 2.0)),
+              "naive": NiwPrior(np.zeros(p), 1.0, float(p + 2), 1.0)}
+    lines = []
+    ks = None
+    for seed in range(5):
+        data, _ = generate(GenSpec(kind="two_cluster_mixture", n=n, p=p,
+                                   separation=20.0, seed=seed))
+        for tag, prior in priors.items():
+            exact = oracles.exact_partition_posterior(
+                data, lambda rows: cluster_log_marginal(ClusterView(rows), prior),
+                1.0)
+            if ks is None:  # every call lists the partitions in one order
+                ks = np.array([max(labels) for labels in exact])
+            probs = np.fromiter(exact.values(), dtype=float)
+            pk = np.bincount(ks, weights=probs, minlength=n + 1)
+            map_k = ks[np.argmax(probs)]
+            assert pk[1] >= 1.0 - 1e-6, (seed, tag, pk[1])
+            assert map_k == 1, (seed, tag)
+            if tag == "robust":
+                assert pk[2] < 1e-6, (seed, pk[2])
+            lines.append(f"seed {seed} {tag}: P(k=1) = {pk[1]:.9f}, "
+                         f"P(k=2) = {pk[2]:.2e}")
+    # shown with pytest -s, next to the chain's answer
+    print(f"exact posterior on gate 9 data (chain k_mode {GATE9_CHAIN_K_MODE}):",
+          *lines, sep="\n")
+
+
 def test_same_seed_reproduces_chain():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((6, 4))
