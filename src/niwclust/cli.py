@@ -1,24 +1,24 @@
 """Batch command-line front end.
 
-Four experiment drivers plus a replot utility:
+Four experiment drivers plus a replot utility, one entry each in
+``_COMMANDS``, which builds the subparsers and dispatches:
 
   limits     exact merge-ratio terms vs their analytic limits over a p grid
-  sweep      sampler dichotomy demo: robust vs naive prior across p
   cluster    run the collapsed Gibbs sampler on a CSV dataset
+  sweep      chains from singletons under the robust vs naive prior across p
   projector  Woodbury projector residual medians over a p grid
   replot     regenerate the SVG for an existing output CSV
 
-Every output CSV starts with a metadata comment line (version, full
-config, seed, generator name) and every SVG is a pure function of its
-CSV, so replot reproduces plots byte-identically.  Exit codes: 0 ok,
-2 config error, 3 numeric failure, 4 I/O failure.
+The parsed argparse namespace is the run configuration.  Every output
+CSV starts with a metadata comment line (version, full config, seed,
+generator name) and every SVG is a pure function of its CSV, so replot
+reproduces plots byte-identically.  Exit codes: 0 ok, 2 config error,
+3 numeric failure, 4 I/O failure.
 """
 
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .datagen import RNG_NAME, GenSpec, generate
 from .errors import (
     ConstantRow,
     DomainError,
+    EmptyTable,
     InvalidConfig,
     InvalidSpec,
     NotPositiveDefinite,
@@ -37,12 +38,10 @@ from .io import CsvTable, read_csv, write_csv
 from .niw import NiwPrior, RobustPriorSpec, robust_prior, row_standardize
 from .partition import CrpPrior, Partition, adjusted_rand_index
 from .ratio import analytic_limits, det_kappa_term_log, merge_log_ratio, projector_residual
-from .sampler import run_chain
+from .sampler import PosteriorSummary, run_chain
 from .svg import line_plot
 
-__all__ = ["RunConfig", "main"]
-
-_COMMANDS = ("limits", "cluster", "sweep", "projector", "replot")
+__all__ = ["main"]
 
 _LIMIT_COLUMNS = (
     "p",
@@ -75,81 +74,70 @@ _SWEEP_COLUMNS = (
 _SWEEP_SEPARATION = 20.0
 
 
-@dataclass
-class RunConfig:
-    """Validated run configuration shared by all commands."""
+def _validate(cfg: argparse.Namespace) -> None:
+    """Reject a bad configuration; parses cfg.p_grid into a tuple."""
+    cfg.p_grid = _parse_grid(cfg.p_grid)
+    if cfg.command in ("limits", "sweep", "projector"):
+        if not cfg.p_grid:
+            raise InvalidConfig("p_grid must not be empty")
+        if any(b <= a for a, b in zip(cfg.p_grid, cfg.p_grid[1:])):
+            raise InvalidConfig("p_grid must be strictly increasing")
+        if cfg.p_grid[0] < 2:
+            raise InvalidConfig("p_grid entries must be >= 2")
+    if cfg.replicates < 1:
+        raise InvalidConfig("replicates must be >= 1")
+    if cfg.n1 < 1 or cfg.n2 < 1:
+        raise InvalidConfig("n1 and n2 must be >= 1")
+    if not cfg.alpha > 0:
+        raise InvalidConfig("alpha must be positive")
+    if cfg.prior == "robust" and not cfg.c2 > 1:
+        raise InvalidConfig("robust prior needs c2 > 1")
+    if cfg.prior == "robust" and not cfg.c1 > 0:
+        raise InvalidConfig("robust prior needs c1 > 0")
+    if cfg.prior not in ("robust", "naive") and not cfg.prior.startswith("custom:"):
+        raise InvalidConfig(f"unknown prior {cfg.prior!r}")
+    if cfg.command in ("sweep", "cluster"):
+        if cfg.burnin < 0 or cfg.sweeps <= cfg.burnin:
+            raise InvalidConfig("need sweeps > burnin >= 0")
+    if cfg.command in ("cluster", "replot") and not cfg.input:
+        raise InvalidConfig(f"{cfg.command} requires --input")
+    if cfg.command == "limits" and cfg.prior != "robust":
+        raise InvalidConfig("limits compares against robust-prior limits")
 
-    command: str
-    p_grid: tuple = ()
-    c1: float = 1.0
-    c2: float = 2.0
-    alpha: float = 1.0
-    n1: int = 1
-    n2: int = 1
-    replicates: int = 20
-    sweeps: int = 200
-    burnin: int = 50
-    seed: int = 0
-    input: Optional[str] = None
-    truth: Optional[str] = None
-    outdir: str = "."
-    prior: str = "robust"
 
-    def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise InvalidConfig(f"unknown command {self.command!r}")
-        if self.command in ("limits", "sweep", "projector"):
-            if not self.p_grid:
-                raise InvalidConfig("p_grid must not be empty")
-            if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
-                raise InvalidConfig("p_grid must be strictly increasing")
-            if self.p_grid[0] < 2:
-                raise InvalidConfig("p_grid entries must be >= 2")
-        if self.replicates < 1:
-            raise InvalidConfig("replicates must be >= 1")
-        if self.n1 < 1 or self.n2 < 1:
-            raise InvalidConfig("n1 and n2 must be >= 1")
-        if not self.alpha > 0:
-            raise InvalidConfig("alpha must be positive")
-        if self.prior == "robust" and not self.c2 > 1:
-            raise InvalidConfig("robust prior needs c2 > 1")
-        if not (
-            self.prior in ("robust", "naive") or self.prior.startswith("custom:")
-        ):
-            raise InvalidConfig(f"unknown prior {self.prior!r}")
-        if self.command in ("sweep", "cluster"):
-            if self.burnin < 0 or self.sweeps <= self.burnin:
-                raise InvalidConfig("need sweeps > burnin >= 0")
-        if self.command in ("cluster", "replot") and not self.input:
-            raise InvalidConfig(f"{self.command} requires --input")
-        if self.command == "limits" and self.prior != "robust":
-            raise InvalidConfig("limits compares against robust-prior limits")
+def _parse_grid(text: str) -> tuple:
+    text = text.strip()
+    if not text:
+        return ()
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise InvalidConfig(f"bad p_grid {text!r}") from None
 
-    def metadata(self) -> str:
-        grid = ",".join(str(p) for p in self.p_grid)
-        return (
-            f"niwclust {__version__} | command={self.command} p_grid={grid} "
-            f"c1={self.c1:g} c2={self.c2:g} alpha={self.alpha:g} "
-            f"n1={self.n1} n2={self.n2} replicates={self.replicates} "
-            f"sweeps={self.sweeps} burnin={self.burnin} seed={self.seed} "
-            f"prior={self.prior} input={self.input or '-'} "
-            f"truth={self.truth or '-'} | rng={RNG_NAME}"
-        )
 
-    def out(self, name: str) -> str:
-        return os.path.join(self.outdir, name)
+def _metadata(cfg: argparse.Namespace) -> str:
+    grid = ",".join(str(p) for p in cfg.p_grid)
+    return (
+        f"niwclust {__version__} | command={cfg.command} p_grid={grid} "
+        f"c1={cfg.c1:g} c2={cfg.c2:g} alpha={cfg.alpha:g} "
+        f"n1={cfg.n1} n2={cfg.n2} replicates={cfg.replicates} "
+        f"sweeps={cfg.sweeps} burnin={cfg.burnin} seed={cfg.seed} "
+        f"prior={cfg.prior} input={cfg.input or '-'} "
+        f"truth={cfg.truth or '-'} | rng={RNG_NAME}"
+    )
 
 
 def _derived_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _resolve_prior(cfg: RunConfig, p: int) -> NiwPrior:
-    if cfg.prior == "robust":
+def _resolve_prior(cfg: argparse.Namespace, kind: str, p: int) -> NiwPrior:
+    """The prior named by kind (robust, naive or custom:FILE) at dimension p."""
+    if kind == "robust":
         return robust_prior(p, RobustPriorSpec(cfg.c1, cfg.c2))
-    if cfg.prior == "naive":
+    if kind == "naive":
         return NiwPrior(np.zeros(p), 1.0, float(p + 2), 1.0)
-    path = cfg.prior[len("custom:") :]
+    path = kind[len("custom:") :]
     keys = {"mu0": 0.0, "kappa0": 1.0, "nu0": float(p + 2), "lambda0_scale": 1.0}
     with open(path) as fh:
         for line in fh:
@@ -162,7 +150,12 @@ def _resolve_prior(cfg: RunConfig, p: int) -> NiwPrior:
             key = key.strip()
             if key not in keys:
                 raise InvalidConfig(f"unknown prior key {key!r}")
-            keys[key] = float(value)
+            try:
+                keys[key] = float(value)
+            except ValueError:
+                raise InvalidConfig(
+                    f"prior key {key!r}: cannot parse {value.strip()!r}"
+                ) from None
     return NiwPrior(
         np.full(p, keys["mu0"]),
         keys["kappa0"],
@@ -179,10 +172,29 @@ def _medians_by_p(table: CsvTable, value_col: str):
     return grid, np.array([np.median(vs[ps == p]) for p in grid])
 
 
+def _median_ari(summary: PosteriorSummary, truth: Partition) -> float:
+    """Median ARI against truth over the kept post-burnin sweeps."""
+    aris = [adjusted_rand_index(Partition(lab), truth) for lab in summary.label_trace]
+    return float(np.median(aris))
+
+
+def _write_outputs(cfg: argparse.Namespace, name: str, rows) -> None:
+    """Write NAME.csv, then draw NAME.svg from the CSV as read back."""
+    columns, plot = _OUTPUTS[name]
+    path = os.path.join(cfg.outdir, f"{name}.csv")
+    write_csv(path, rows, names=columns, metadata=_metadata(cfg))
+    _write_svg(os.path.join(cfg.outdir, f"{name}.svg"), plot(read_csv(path)))
+
+
+def _write_svg(path: str, text: str) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------- limits
 
 
-def cmd_limits(cfg: RunConfig) -> None:
+def cmd_limits(cfg: argparse.Namespace) -> None:
     spec = RobustPriorSpec(cfg.c1, cfg.c2)
     limits = analytic_limits(spec, cfg.n1, cfg.n2)
     part = Partition([1] * cfg.n1 + [2] * cfg.n2)
@@ -221,9 +233,7 @@ def cmd_limits(cfg: RunConfig) -> None:
             f"det_kappa_closed={closed:.6g} "
             f"det_kappa_limit={limits.det_kappa_limit:.6g}"
         )
-    path = cfg.out("limits.csv")
-    write_csv(path, rows, names=_LIMIT_COLUMNS, metadata=cfg.metadata())
-    _write_svg(cfg.out("limits.svg"), _plot_limits(read_csv(path)))
+    _write_outputs(cfg, "limits", rows)
 
 
 def _plot_limits(table: CsvTable) -> str:
@@ -254,7 +264,7 @@ def _plot_limits(table: CsvTable) -> str:
 # ------------------------------------------------------------- projector
 
 
-def cmd_projector(cfg: RunConfig) -> None:
+def cmd_projector(cfg: argparse.Namespace) -> None:
     rows = []
     for gi, p in enumerate(cfg.p_grid):
         residuals = []
@@ -265,9 +275,7 @@ def cmd_projector(cfg: RunConfig) -> None:
         med = float(np.median(residuals))
         rows.append([p, med])
         print(f"projector p={p} n={cfg.n1} median_residual={med:.6g}")
-    path = cfg.out("projector.csv")
-    write_csv(path, rows, names=("p", "median_residual"), metadata=cfg.metadata())
-    _write_svg(cfg.out("projector.svg"), _plot_projector(read_csv(path)))
+    _write_outputs(cfg, "projector", rows)
 
 
 def _plot_projector(table: CsvTable) -> str:
@@ -283,13 +291,13 @@ def _plot_projector(table: CsvTable) -> str:
 # ----------------------------------------------------------------- sweep
 
 
-def cmd_sweep(cfg: RunConfig) -> None:
+def cmd_sweep(cfg: argparse.Namespace) -> None:
     crp = CrpPrior(cfg.alpha)
     n = cfg.n1 + cfg.n2
     rows = []
     for gi, p in enumerate(cfg.p_grid):
         for naive_flag, kind in ((0, "robust"), (1, "naive")):
-            prior = _resolve_prior(replace(cfg, prior=kind), p)
+            prior = _resolve_prior(cfg, kind, p)
             degenerate = []
             for chain in range(cfg.replicates):
                 data, truth = generate(
@@ -309,15 +317,10 @@ def cmd_sweep(cfg: RunConfig) -> None:
                     burnin=cfg.burnin,
                     seed=_derived_seed(cfg.seed, gi, chain, 1),
                     init="singletons",
-                    keep_labels=True,
                 )
                 ks = np.asarray(summary.k_trace[cfg.burnin :])
                 frac_k1 = float(np.mean(ks == 1))
                 frac_kn = float(np.mean(ks == n))
-                aris = [
-                    adjusted_rand_index(Partition(lab), truth)
-                    for lab in summary.label_trace
-                ]
                 rows.append(
                     [
                         p,
@@ -327,7 +330,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
                         frac_kn,
                         frac_k1 + frac_kn,
                         summary.k_mode,
-                        float(np.median(aris)),
+                        _median_ari(summary, truth),
                     ]
                 )
                 degenerate.append(frac_k1 + frac_kn)
@@ -335,9 +338,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
                 f"sweep p={p} prior={kind} "
                 f"degenerate_frac_median={np.median(degenerate):.6g}"
             )
-    path = cfg.out("sweep.csv")
-    write_csv(path, rows, names=_SWEEP_COLUMNS, metadata=cfg.metadata())
-    _write_svg(cfg.out("sweep.svg"), _plot_sweep(read_csv(path)))
+    _write_outputs(cfg, "sweep", rows)
 
 
 def _plot_sweep(table: CsvTable) -> str:
@@ -360,15 +361,19 @@ def _plot_sweep(table: CsvTable) -> str:
 # --------------------------------------------------------------- cluster
 
 
-def cmd_cluster(cfg: RunConfig) -> None:
-    table = read_csv(cfg.input)
-    data = table.values
-    prior = _resolve_prior(cfg, data.shape[1])
+def cmd_cluster(cfg: argparse.Namespace) -> None:
+    data = read_csv(cfg.input).values
+    prior = _resolve_prior(cfg, cfg.prior, data.shape[1])
     crp = CrpPrior(cfg.alpha)
     truth = None
     if cfg.truth:
-        truth_table = read_csv(cfg.truth)
-        truth = Partition(int(v) for v in truth_table.values[:, 0])
+        labels = read_csv(cfg.truth).values[:, 0]
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
+        if bad.size:
+            raise InvalidConfig(
+                f"truth row {bad[0] + 1}: label {labels[bad[0]]:g} is not an integer"
+            )
+        truth = Partition(int(v) for v in labels)
         if truth.n != data.shape[0]:
             raise InvalidConfig(
                 f"truth covers {truth.n} rows, data has {data.shape[0]}"
@@ -383,51 +388,54 @@ def cmd_cluster(cfg: RunConfig) -> None:
         # the all-in-one state is a strong attractor, so discovery
         # runs must start from singletons and merge downward
         init="singletons",
-        keep_labels=truth is not None,
     )
-    write_csv(
-        cfg.out("co_clustering.csv"), summary.co_clustering, metadata=cfg.metadata()
-    )
+    meta = _metadata(cfg)
+    path = os.path.join(cfg.outdir, "co_clustering.csv")
+    write_csv(path, summary.co_clustering, metadata=meta)
     trace = [[i + 1, k] for i, k in enumerate(summary.k_trace)]
-    write_csv(
-        cfg.out("k_trace.csv"), trace, names=("sweep", "k"), metadata=cfg.metadata()
-    )
-    line = (
-        f"cluster n={data.shape[0]} p={data.shape[1]} k_mode={summary.k_mode}"
-    )
+    path = os.path.join(cfg.outdir, "k_trace.csv")
+    write_csv(path, trace, names=("sweep", "k"), metadata=meta)
+    line = f"cluster n={data.shape[0]} p={data.shape[1]} k_mode={summary.k_mode}"
     if truth is not None:
-        aris = [
-            adjusted_rand_index(Partition(lab), truth)
-            for lab in summary.label_trace
-        ]
-        line += f" ari={float(np.median(aris)):.4f}"
+        line += f" ari={_median_ari(summary, truth):.4f}"
     print(line)
 
 
 # ---------------------------------------------------------------- replot
 
 
-def cmd_replot(cfg: RunConfig) -> None:
+# name -> (CSV columns, plot drawn from the CSV); replot matches columns
+_OUTPUTS = {
+    "limits": (_LIMIT_COLUMNS, _plot_limits),
+    "projector": (("p", "median_residual"), _plot_projector),
+    "sweep": (_SWEEP_COLUMNS, _plot_sweep),
+}
+
+
+def cmd_replot(cfg: argparse.Namespace) -> None:
     table = read_csv(cfg.input)
     if table.names is None:
         raise InvalidConfig(f"{cfg.input} has no header to identify the plot kind")
-    names = set(table.names)
-    if set(_LIMIT_COLUMNS) <= names:
-        _write_svg(cfg.out("limits.svg"), _plot_limits(table))
-    elif "median_residual" in names:
-        _write_svg(cfg.out("projector.svg"), _plot_projector(table))
-    elif "frac_k1" in names:
-        _write_svg(cfg.out("sweep.svg"), _plot_sweep(table))
-    else:
-        raise InvalidConfig(f"unrecognized columns in {cfg.input}")
-
-
-def _write_svg(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    for name, (columns, plot) in _OUTPUTS.items():
+        if set(columns) <= set(table.names):
+            _write_svg(os.path.join(cfg.outdir, f"{name}.svg"), plot(table))
+            return
+    raise InvalidConfig(f"unrecognized columns in {cfg.input}")
 
 
 # ------------------------------------------------------------------ main
+
+
+# name -> (command, default --n1/--n2, help).  sweep draws a 10-point
+# mixture by default; the analytic commands default to the smallest
+# nontrivial pair
+_COMMANDS = {
+    "limits": (cmd_limits, 1, "merge-ratio terms vs analytic limits over a p grid"),
+    "cluster": (cmd_cluster, 1, "collapsed Gibbs clustering of a CSV dataset"),
+    "sweep": (cmd_sweep, 5, "robust vs naive prior sampler dichotomy across p"),
+    "projector": (cmd_projector, 1, "projector residual medians over a p grid"),
+    "replot": (cmd_replot, 1, "regenerate the SVG for an output CSV"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,101 +444,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Merge-ratio asymptotics and collapsed Gibbs clustering "
         "for Gaussian mixtures under NIW priors.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p-grid", default="", metavar="P1,P2,...",
-                        help="comma-separated strictly increasing dimensions")
-    common.add_argument("--c1", type=float, default=1.0,
-                        help="robust prior kappa0 = c1*sqrt(p)")
-    common.add_argument("--c2", type=float, default=2.0,
-                        help="robust prior nu0 = c2*p, c2 > 1")
-    common.add_argument("--alpha", type=float, default=1.0,
-                        help="CRP concentration")
-    # None defers the default to config_from_args: sweep wants 5+5
-    # points, every other command a 1+1 split
-    common.add_argument("--n1", type=int, default=None,
-                        help="first cluster size (projector row count; "
-                        "default 1, sweep 5)")
-    common.add_argument("--n2", type=int, default=None,
-                        help="second cluster size (default 1, sweep 5)")
-    common.add_argument("--replicates", type=int, default=20)
-    common.add_argument("--sweeps", type=int, default=200)
-    common.add_argument("--burnin", type=int, default=50)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--input", default=None, help="input CSV path")
-    common.add_argument("--truth", default=None,
-                        help="true labels CSV (one integer column)")
-    common.add_argument("--outdir", default=".")
-    common.add_argument("--prior", default="robust",
-                        help="robust, naive, or custom:FILE")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("limits", parents=[common],
-                   help="merge-ratio terms vs analytic limits over a p grid")
-    sub.add_parser("cluster", parents=[common],
-                   help="collapsed Gibbs clustering of a CSV dataset")
-    sub.add_parser("sweep", parents=[common],
-                   help="robust vs naive prior sampler dichotomy across p")
-    sub.add_parser("projector", parents=[common],
-                   help="projector residual medians over a p grid")
-    sub.add_parser("replot", parents=[common],
-                   help="regenerate the SVG for an output CSV")
+    for name, (run, size, text) in _COMMANDS.items():
+        # one set of actions per subparser, so each keeps its own
+        # --n1/--n2 default (actions shared through parents= would not)
+        cmd = sub.add_parser(name, help=text)
+        # parsed in _validate, so a bad grid is a config error (exit 2)
+        cmd.add_argument("--p-grid", default="", metavar="P1,P2,...",
+                         help="comma-separated strictly increasing dimensions")
+        cmd.add_argument("--c1", type=float, default=1.0,
+                         help="robust prior kappa0 = c1*sqrt(p)")
+        cmd.add_argument("--c2", type=float, default=2.0,
+                         help="robust prior nu0 = c2*p, c2 > 1")
+        cmd.add_argument("--alpha", type=float, default=1.0,
+                         help="CRP concentration")
+        cmd.add_argument("--n1", type=int, default=size,
+                         help="first cluster size, or projector row count "
+                         "(default %(default)s)")
+        cmd.add_argument("--n2", type=int, default=size,
+                         help="second cluster size (default %(default)s)")
+        cmd.add_argument("--replicates", type=int, default=20)
+        cmd.add_argument("--sweeps", type=int, default=200)
+        cmd.add_argument("--burnin", type=int, default=50)
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--input", default=None, help="input CSV path")
+        cmd.add_argument("--truth", default=None,
+                         help="true labels CSV (one integer column)")
+        cmd.add_argument("--outdir", default=".")
+        cmd.add_argument("--prior", default="robust",
+                         help="robust, naive, or custom:FILE")
+        cmd.set_defaults(run=run)
     return parser
 
 
-def _parse_grid(text: str) -> tuple:
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise InvalidConfig(f"bad p_grid {text!r}") from None
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # sweep draws a 10-point mixture by default; the analytic commands
-    # default to the smallest nontrivial pair
-    fallback = 5 if args.command == "sweep" else 1
-    cfg = RunConfig(
-        command=args.command,
-        p_grid=_parse_grid(args.p_grid),
-        c1=args.c1,
-        c2=args.c2,
-        alpha=args.alpha,
-        n1=args.n1 if args.n1 is not None else fallback,
-        n2=args.n2 if args.n2 is not None else fallback,
-        replicates=args.replicates,
-        sweeps=args.sweeps,
-        burnin=args.burnin,
-        seed=args.seed,
-        input=args.input,
-        truth=args.truth,
-        outdir=args.outdir,
-        prior=args.prior,
-    )
-    cfg.validate()
-    return cfg
-
-
-_DISPATCH = {
-    "limits": cmd_limits,
-    "cluster": cmd_cluster,
-    "sweep": cmd_sweep,
-    "projector": cmd_projector,
-    "replot": cmd_replot,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    cfg = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except (InvalidConfig, InvalidSpec) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        _validate(cfg)
         os.makedirs(cfg.outdir, exist_ok=True)
-        _DISPATCH[cfg.command](cfg)
+        cfg.run(cfg)
     except (InvalidConfig, InvalidSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -544,7 +496,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, RaggedRows, OSError) as exc:
+    except (EmptyTable, ParseError, RaggedRows, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -41,3 +41,7 @@ class ParseError(ValueError):
 
 class RaggedRows(ValueError):
     """CSV rows have inconsistent lengths."""
+
+
+class EmptyTable(ValueError):
+    """CSV file holds no data rows."""

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, RaggedRows
+from .errors import EmptyTable, ParseError, RaggedRows
 
 __all__ = ["CsvTable", "read_csv", "write_csv"]
 
@@ -55,7 +55,7 @@ def read_csv(path) -> CsvTable:
         On a non-numeric cell (1-based row/column file coordinates).
     RaggedRows
         When rows disagree on length.
-    ValueError
+    EmptyTable
         When the file holds no data rows.
     """
     rows = []
@@ -83,7 +83,7 @@ def read_csv(path) -> CsvTable:
                 )
             rows.append([_parse_cell(c, line_num, j) for j, c in enumerate(cells)])
     if not rows:
-        raise ValueError(f"{path} holds no data rows")
+        raise EmptyTable(f"{path} holds no data rows")
     return CsvTable(values=np.array(rows, dtype=float), names=names)
 
 

@@ -528,12 +528,12 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Chain summary: co-clustering frequencies, k trace and its mode."""
+    """Chain summary: co-clustering, k trace and mode, post-burnin labels."""
 
     co_clustering: np.ndarray
     k_trace: tuple
     k_mode: int
-    label_trace: Optional[tuple] = None
+    label_trace: tuple
 
 
 def run_chain(
@@ -544,15 +544,14 @@ def run_chain(
     burnin: int,
     seed: int,
     init: str = "single",
-    keep_labels: bool = False,
     debug: bool = False,
 ) -> PosteriorSummary:
     """Run one chain and summarize the post-burnin sweeps.
 
     Deterministic given the seed.  k_trace records every sweep; the
     co-clustering matrix averages pairwise same-cluster indicators over
-    the sweeps after burnin.  keep_labels additionally stores the label
-    vector of every post-burnin sweep.
+    the sweeps after burnin, and label_trace keeps the label vector of
+    each of those sweeps.
     """
     if burnin < 0 or sweeps <= burnin:
         raise InvalidConfig(f"need sweeps > burnin >= 0, got {sweeps}, {burnin}")
@@ -572,8 +571,7 @@ def run_chain(
             lab = np.asarray(state.labels)
             co += lab[:, None] == lab[None, :]
             k_counts[state.k()] = k_counts.get(state.k(), 0) + 1
-            if keep_labels:
-                kept.append(tuple(state.labels))
+            kept.append(tuple(state.labels))
     co /= sweeps - burnin
     best = max(k_counts.values())
     k_mode = min(k for k, c in k_counts.items() if c == best)
@@ -581,5 +579,5 @@ def run_chain(
         co_clustering=co,
         k_trace=tuple(k_trace),
         k_mode=k_mode,
-        label_trace=tuple(kept) if keep_labels else None,
+        label_trace=tuple(kept),
     )

@@ -232,7 +232,7 @@ def test_criterion_08_sampler_exactness():
 
     start = time.perf_counter()
     out = run_chain(data, prior, CrpPrior(alpha), sweeps=10**5, burnin=2000,
-                    seed=7, keep_labels=True)
+                    seed=7)
     elapsed = time.perf_counter() - start
     counts = Counter(out.label_trace)
     total = len(out.label_trace)
@@ -242,7 +242,17 @@ def test_criterion_08_sampler_exactness():
             f"TV {tv:.4f} over 52 partitions, {elapsed:.1f}s")
 
 
-def test_criterion_09_prior_dichotomy():
+def test_criterion_09_chain_dichotomy_from_singletons():
+    """Chain behaviour from singletons, not posterior mass.
+
+    Single-site chains started from singletons under the naive prior
+    stay degenerate (k = 1 or k = n), while under the robust prior they
+    settle on the true two-cluster split.  The exact posterior on these
+    five datasets puts P(k = 1) >= 1 - 2e-7 under both priors, and the
+    robust prior gives P(k = 2) between 2e-11 and 2e-7
+    (test_sampler.py::test_exact_posterior_on_gate9_data_is_one_cluster),
+    so the k = 2 answer is where the chain stops, not the posterior mode.
+    """
     p, n = 2000, 10
     robust = robust_prior(p, RobustPriorSpec(1.0, 2.0))
     naive = NiwPrior(np.zeros(p), 1.0, float(p + 2), 1.0)
@@ -255,8 +265,7 @@ def test_criterion_09_prior_dichotomy():
                               separation=20.0, seed=seed))
         for prior, tag in ((naive, "naive"), (robust, "robust")):
             out = run_chain(data, prior, crp, sweeps=120, burnin=40,
-                            seed=seed + 100, init="singletons",
-                            keep_labels=True)
+                            seed=seed + 100, init="singletons")
             if tag == "naive":
                 ks = np.asarray(out.k_trace[40:])
                 naive_degen.append(float(np.mean((ks == 1) | (ks == n))))
@@ -270,8 +279,10 @@ def test_criterion_09_prior_dichotomy():
     ari_med = float(np.median(robust_aris))
     ok = degen_med > 0.8 and mode_of_modes == 2 and ari_med >= 0.8
     _report(9, ok,
-            f"naive degenerate median {degen_med:.2f}, robust k modes "
-            f"{robust_modes}, median ARI {ari_med:.2f}")
+            f"chains from singletons, not posterior mass: naive degenerate "
+            f"median {degen_med:.2f}, robust k modes {robust_modes}, median "
+            f"ARI {ari_med:.2f}; exact P(k=1) >= 1-2e-7, robust P(k=2) "
+            f"2e-11..2e-7")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import niwclust
-from niwclust.cli import build_parser, config_from_args, main
+from niwclust.cli import build_parser, main
 from niwclust.datagen import GenSpec, generate
 from niwclust.io import read_csv, write_csv
 
@@ -96,14 +96,25 @@ def test_cluster_size_defaults_per_command():
     # sweep defaults to a 5+5 mixture, everything else to a 1+1 split;
     # parsing one command must not leak its defaults into the next parse
     parser = build_parser()
-    sweep = config_from_args(parser.parse_args(["sweep", "--p-grid", "40"]))
+    sweep = parser.parse_args(["sweep", "--p-grid", "40"])
     assert (sweep.n1, sweep.n2) == (5, 5)
-    limits = config_from_args(parser.parse_args(["limits", "--p-grid", "40"]))
+    limits = parser.parse_args(["limits", "--p-grid", "40"])
     assert (limits.n1, limits.n2) == (1, 1)
-    explicit = config_from_args(
-        parser.parse_args(["sweep", "--p-grid", "40", "--n1", "3", "--n2", "2"])
-    )
+    explicit = parser.parse_args(["sweep", "--p-grid", "40", "--n1", "3", "--n2", "2"])
     assert (explicit.n1, explicit.n2) == (3, 2)
+
+
+@pytest.mark.parametrize("command", ["limits", "cluster", "sweep", "projector", "replot"])
+def test_parsed_namespace_is_the_whole_config(command):
+    # exactly the fields the metadata line reports, plus the dispatch
+    # target; --p-grid stays text until validation parses it
+    cfg = vars(build_parser().parse_args([command]))
+    assert callable(cfg.pop("run"))
+    size = 5 if command == "sweep" else 1
+    assert cfg == dict(command=command, p_grid="", c1=1.0, c2=2.0, alpha=1.0,
+                       n1=size, n2=size, replicates=20, sweeps=200, burnin=50,
+                       seed=0, input=None, truth=None, outdir=".",
+                       prior="robust")
 
 
 def test_cluster_with_truth(tmp_path, capsys):
@@ -124,6 +135,43 @@ def test_cluster_with_truth(tmp_path, capsys):
     assert trace.names == ("sweep", "k")
     assert trace.values.shape == (30, 2)
     assert "ari=" in capsys.readouterr().out
+    meta = (f"# niwclust {niwclust.__version__} | command=cluster p_grid= c1=1 "
+            "c2=2 alpha=1 n1=1 n2=1 replicates=20 sweeps=30 burnin=5 seed=0 "
+            f"prior=naive input={data_path} truth={truth_path} | rng=numpy-PCG64")
+    for name in ("co_clustering.csv", "k_trace.csv"):
+        assert (out / name).read_text().splitlines()[0] == meta
+
+
+# sha256 of each command's CSV (metadata line included), SVG and stdout,
+# as written before the CLI's configuration was folded into the argparse
+# namespace; the metadata line names the package version, so a version
+# bump changes the CSV digests
+_COMMAND_PINS = {
+    "limits": (["--p-grid", "40,80", "--replicates", "2", "--seed", "3"],
+               "72c85d757f00095347cb1bdc4773c3e0bb507a4d2e08ff8317769ff9be13294d",
+               "d2aa95a03720d4deac955efbed816ff18dfdcc200dfd98ae44bd12dd4c573b7b",
+               "0a4aebc3c7f76e988848e84497b73b1b7c63d7a47e03ae23c5aad91e3a808e8a"),
+    "projector": (["--p-grid", "20,50", "--n1", "5", "--replicates", "5"],
+                  "a48130a6cc50771d90dd7e92089b0748a7f8d0b87319ac7581c7afb79ead7f73",
+                  "d46d580c6af161698424e63348bfdacf95913e18f5c79089e5b2b8cbc7b3d237",
+                  "6aa6fcb1b0097799daab10eacbfd77b7bd713d37102c0aa8dcc49f0d860361f5"),
+    "sweep": (["--p-grid", "60", "--sweeps", "8", "--burnin", "2",
+               "--replicates", "1"],
+              "8774299b879cf10e5053940164e8184d659de4dd13a69fbc7309e7797495fd14",
+              "ddf0fce6d66ddd56be7fdc1eca20b30264f1eec84c4e7f8cf58c22ab2926f285",
+              "da2aad5eb2aa044eecdee525f689bf70c886cb9d45f78044ddfe2ba2253bb520"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_PINS))
+def test_command_outputs_are_byte_pinned(tmp_path, capsys, command):
+    args, csv_pin, svg_pin, stdout_pin = _COMMAND_PINS[command]
+    assert niwclust.__version__ == "0.1.0"
+    assert main([command, *args, "--outdir", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256(_read_bytes(tmp_path / f"{command}.{ext}")).hexdigest()
+                    for ext in ("csv", "svg"))
+    stdout = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests + (stdout,) == (csv_pin, svg_pin, stdout_pin)
 
 
 # sha256 of co_clustering.csv and k_trace.csv below their metadata line
@@ -165,6 +213,39 @@ def test_config_errors_exit_2(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+def test_c1_is_checked_with_c2(tmp_path, capsys):
+    for c1 in ("0", "-1", "nan"):
+        assert main(["limits", "--p-grid", "20", "--c1", c1,
+                     "--outdir", str(tmp_path)]) == 2
+        assert "robust prior needs c1 > 0" in capsys.readouterr().err
+
+
+def test_truth_labels_must_be_integers(tmp_path, capsys):
+    data, _ = generate(GenSpec(kind="single_gaussian", n=4, p=3, seed=2))
+    data_path = tmp_path / "d.csv"
+    write_csv(data_path, data)
+    for label in ("nan", "inf", "2.5"):
+        truth = tmp_path / "truth.csv"
+        truth.write_text(f"1\n2\n{label}\n1\n")
+        assert main(["cluster", "--input", str(data_path), "--truth", str(truth),
+                     "--sweeps", "4", "--burnin", "1",
+                     "--outdir", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert f"truth row 3: label {label} is not an integer" in err
+    assert not (tmp_path / "fit" / "co_clustering.csv").exists()
+
+
+def test_empty_input_exits_4(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    header = tmp_path / "header.csv"
+    header.write_text("# run metadata\np,median_residual\n")
+    for argv in (["cluster", "--input", str(empty)],
+                 ["replot", "--input", str(header)]):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 4
+        assert "holds no data rows" in capsys.readouterr().err
+
+
 def test_replot_needs_recognizable_header(tmp_path):
     bare = tmp_path / "bare.csv"
     bare.write_text("1,2\n3,4\n")
@@ -195,7 +276,7 @@ def test_non_finite_input_exits_3(tmp_path, capsys):
     assert not (out / "co_clustering.csv").exists()
 
 
-def test_custom_prior_paths(tmp_path):
+def test_custom_prior_paths(tmp_path, capsys):
     data, _ = generate(GenSpec(kind="single_gaussian", n=6, p=5, seed=9))
     data_path = tmp_path / "d.csv"
     write_csv(data_path, data)
@@ -212,6 +293,13 @@ def test_custom_prior_paths(tmp_path):
     assert main(["cluster", "--input", str(data_path), "--prior",
                  f"custom:{unknown}", "--sweeps", "12", "--burnin", "2",
                  "--outdir", str(tmp_path)]) == 2
+
+    unparsable = tmp_path / "unparsable.cfg"
+    unparsable.write_text("kappa0=abc\n")
+    assert main(["cluster", "--input", str(data_path), "--prior",
+                 f"custom:{unparsable}", "--sweeps", "12", "--burnin", "2",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "prior key 'kappa0': cannot parse 'abc'" in capsys.readouterr().err
 
     bad_nu = tmp_path / "badnu.cfg"
     bad_nu.write_text("nu0=1\n")

@@ -35,7 +35,7 @@ def test_chain_recovers_exact_posterior_on_four_points():
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-10)
 
     out = run_chain(data, prior, CrpPrior(alpha), sweeps=20000, burnin=1000,
-                    seed=3, keep_labels=True)
+                    seed=3)
     counts: dict = {}
     for lab in out.label_trace:
         counts[lab] = counts.get(lab, 0) + 1
@@ -84,7 +84,7 @@ def test_same_seed_reproduces_chain():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((6, 4))
     prior = NiwPrior(np.zeros(4), 1.0, 7.0, 1.0)
-    kw = dict(sweeps=60, burnin=10, keep_labels=True)
+    kw = dict(sweeps=60, burnin=10)
     a = run_chain(data, prior, CrpPrior(1.0), seed=11, **kw)
     b = run_chain(data, prior, CrpPrior(1.0), seed=11, **kw)
     c = run_chain(data, prior, CrpPrior(1.0), seed=12, **kw)
@@ -139,7 +139,7 @@ def test_co_clustering_matrix_shape_and_blocks():
     data, truth = generate(spec)
     prior = robust_prior(2000, RobustPriorSpec(1.0, 2.0))
     out = run_chain(data, prior, CrpPrior(1.0), sweeps=60, burnin=20,
-                    seed=100, init="singletons", keep_labels=True)
+                    seed=100, init="singletons")
 
     co = out.co_clustering
     assert co.shape == (10, 10)
@@ -156,20 +156,16 @@ def test_co_clustering_matrix_shape_and_blocks():
     assert adjusted_rand_index(last, truth) == 1.0
 
 
-def test_label_trace_only_when_requested():
+def test_label_trace_keeps_post_burnin_sweeps():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((5, 3))
     prior = NiwPrior(np.zeros(3), 1.0, 6.0, 1.0)
     out = run_chain(data, prior, CrpPrior(1.0), sweeps=12, burnin=4, seed=5)
-    assert out.label_trace is None
     assert len(out.k_trace) == 12
     assert out.k_mode in out.k_trace
-
-    kept = run_chain(data, prior, CrpPrior(1.0), sweeps=12, burnin=4, seed=5,
-                     keep_labels=True)
-    assert len(kept.label_trace) == 8
+    assert len(out.label_trace) == 8
     # canonical labels start at 1 on every stored sweep
-    for lab in kept.label_trace:
+    for lab in out.label_trace:
         assert min(lab) == 1
         assert max(lab) == len(set(lab))
 
