@@ -350,15 +350,23 @@ class ClusterView:
         return centered.T @ centered
 
 
-def transform_data(y, prior: NiwPrior) -> NDArray[np.float64]:
+def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     """Apply ytilde_i = Lambda0^{-1/2} (y_i - mu0) row-wise.
 
     Uses the symmetric square root for a full Lambda0; for a scalar
     Lambda0 = lam * I this is just (y - mu0) / sqrt(lam).  Under the
     transformed data the prior has mu0 = 0 and Lambda0 = I.  Rejects
-    non-finite data with :func:`check_finite`.  A cell that overflows
-    in the transform becomes infinite without a warning; every caller
-    forms the Gram matrix with :func:`gram_matrix`, which rejects its row.
+    non-finite data anywhere in y with :func:`check_finite`, naming the
+    cell by its row in y.  A cell that overflows in the transform
+    becomes infinite without a warning; every caller forms the Gram
+    matrix with :func:`gram_matrix`, which rejects its row.
+
+    rows, an integer index array, selects the rows to transform, in its
+    order; the result equals ``transform_data(y, prior)[rows]`` bit for
+    bit.  For a scalar Lambda0 only the selected rows (all of y by
+    default) are copied, once, then centered and scaled in place, so
+    the call holds one copy of them.  A full Lambda0 transforms all of
+    y and then selects.  y itself is never modified.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -366,16 +374,22 @@ def transform_data(y, prior: NiwPrior) -> NDArray[np.float64]:
     if y.shape[1] != prior.p:
         raise ValueError(f"data width {y.shape[1]} does not match prior p={prior.p}")
     check_finite(y)
-    if not prior.scalar_lambda0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prior.scalar_lambda0:
+            # np.take always copies; it refuses a slice, whose view the
+            # in-place steps would write through to y
+            out = y.copy() if rows is None else np.take(y, rows, axis=0)
+            out -= prior.mu0
+            out /= np.sqrt(prior.lambda0)
+            return out
         w, v = np.linalg.eigh(prior.lambda0)
         if np.min(w) <= 0 or np.min(w) < 1e-12 * np.max(w):
             raise NotPositiveDefinite("lambda0 eigenvalue not positive")
         inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = y - prior.mu0
-        if prior.scalar_lambda0:
-            return centered / np.sqrt(prior.lambda0)
-        return centered @ inv_sqrt
+        # the rounding of a row of a matrix product can depend on the
+        # rows multiplied with it, so rows are picked from the product
+        out = (y - prior.mu0) @ inv_sqrt
+        return out if rows is None else out[rows]
 
 
 def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
@@ -566,7 +580,9 @@ def row_standardize(y) -> NDArray[np.float64]:
     """Center and scale each row to mean 0 and sample variance 1.
 
     The variance divisor is p - 1, so every output row satisfies
-    sum_j y_ij^2 = p - 1.
+    sum_j y_ij^2 = p - 1.  The result is the one full-size array made:
+    the sums of squares are taken a row at a time and the scaling is in
+    place, so peak memory is about one copy of y plus one row.
 
     Raises
     ------
@@ -581,8 +597,12 @@ def row_standardize(y) -> NDArray[np.float64]:
     if y.shape[1] < 2:
         raise DomainError("row standardization needs p >= 2")
     centered = y - y.mean(axis=1, keepdims=True)
-    sd = np.sqrt((centered**2).sum(axis=1) / (y.shape[1] - 1))
+    # one row's square at a time; each row sum is the same pairwise sum
+    # that (centered**2).sum(axis=1) takes, so the result is bit-identical
+    sumsq = np.array([(r * r).sum() for r in centered])
+    sd = np.sqrt(sumsq / (y.shape[1] - 1))
     bad = np.flatnonzero(~(sd > 0))
     if bad.size:
         raise ConstantRow(f"row {bad[0]} has zero sample variance")
-    return centered / sd[:, None]
+    centered /= sd[:, None]
+    return centered

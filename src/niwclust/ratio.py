@@ -225,15 +225,18 @@ def merge_log_ratio(
     term_gamma = gamma_term_log(p, prior.nu0, n1, n2)
     term_kappa = kappa_term_log(p, prior.kappa0, n1, n2)
 
-    def dual_parts(rows):
-        """(log scalar factor, log|I + G|) of rows of the transformed data."""
-        f = factor_gram(gram_matrix(ytilde[rows], rows))
+    def dual_parts(block, rows):
+        """(log scalar factor, log|I + G|) of transformed rows block."""
+        f = factor_gram(gram_matrix(block, rows))
         return float(log_scalar_factor(prior, rows.size, f.z @ f.z)), f.log_det
 
-    ytilde = transform_data(data, prior)
-    sf1, ld1 = dual_parts(idx1)
-    sf2, ld2 = dual_parts(idx2)
-    sfm, ldm = dual_parts(np.concatenate([idx1, idx2]))
+    # only the merged rows are transformed, once; the two clusters are
+    # row slices (views) of that block
+    merged = np.concatenate([idx1, idx2])
+    ytilde = transform_data(data, prior, merged)
+    sf1, ld1 = dual_parts(ytilde[:n1], idx1)
+    sf2, ld2 = dual_parts(ytilde[n1:], idx2)
+    sfm, ldm = dual_parts(ytilde, merged)
 
     def half(nh):
         return (prior.nu0 + nh) / 2.0

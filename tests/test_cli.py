@@ -1,16 +1,20 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
 import hashlib
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import niwclust
+from niwclust import cli
 from niwclust.cli import build_parser, main
 from niwclust.datagen import GenSpec, generate
+from niwclust.errors import NotPositiveDefinite
 from niwclust.io import read_csv, write_csv
 
 
@@ -220,6 +224,34 @@ def test_c1_is_checked_with_c2(tmp_path, capsys):
         assert "robust prior needs c1 > 0" in capsys.readouterr().err
 
 
+def test_commands_with_their_own_prior_reject_prior(tmp_path, capsys):
+    # sweep builds both priors and projector none, so --prior is an error
+    # for them, not a setting that is recorded and then ignored
+    cases = [
+        (["sweep", "--prior", "naive", "--c2", "0.5"], "sweep takes no --prior"),
+        (["sweep", "--prior", "naive"], "sweep takes no --prior"),
+        (["projector", "--prior", "custom:/nonexistent"], "projector takes no --prior"),
+        (["projector", "--prior", "naive"], "projector takes no --prior"),
+        (["limits", "--prior", "naive"], "limits takes no --prior"),
+    ]
+    for argv, message in cases:
+        out = tmp_path / argv[0]
+        assert main(argv + ["--p-grid", "20", "--replicates", "1",
+                            "--outdir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / f"{argv[0]}.csv").exists()
+
+
+def test_c1_c2_checked_for_every_robust_prior_command(tmp_path, capsys):
+    for command in ("limits", "sweep", "cluster"):
+        for flag, value, message in (("--c2", "0.5", "robust prior needs c2 > 1"),
+                                     ("--c1", "0", "robust prior needs c1 > 0")):
+            argv = [command, "--p-grid", "20", "--input", "unused.csv",
+                    flag, value, "--outdir", str(tmp_path)]
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
+
 def test_truth_labels_must_be_integers(tmp_path, capsys):
     data, _ = generate(GenSpec(kind="single_gaussian", n=4, p=3, seed=2))
     data_path = tmp_path / "d.csv"
@@ -345,3 +377,81 @@ def test_runtime_needs_no_scipy(tmp_path):
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(src), str(tmp_path)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_POOL_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import niwclust.cli
+assert "concurrent.futures" not in sys.modules, "importing niwclust.cli loaded it"
+"""
+
+
+def test_import_loads_no_thread_pool():
+    # the replicate pool is imported when a command runs, keeping it off
+    # the start-up path of every command
+    src = Path(niwclust.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _limits_draw(rep):
+    """The rows that limits replicate rep draws at p = 30, n1 = n2 = 1."""
+    return cli.row_standardize(np.random.default_rng([0, 0, rep]).standard_normal((2, 30)))
+
+
+def test_failing_replicate_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    real = cli.merge_log_ratio
+    third = _limits_draw(3)
+
+    def fail_at_replicate_3(data, *args):
+        if np.array_equal(data, third):
+            raise NotPositiveDefinite("injected failure in replicate 3")
+        return real(data, *args)
+
+    monkeypatch.setattr(cli, "merge_log_ratio", fail_at_replicate_3)
+    out = tmp_path / "run"
+    assert main(["limits", "--p-grid", "30,60", "--replicates", "6",
+                 "--outdir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "numeric error: injected failure in replicate 3" in captured.err
+    assert captured.out == ""
+    assert not (out / "limits.csv").exists()
+    assert not (out / "limits.svg").exists()
+
+
+def test_rows_follow_replicate_order_not_finish_order(tmp_path, monkeypatch):
+    args = ["limits", "--p-grid", "30", "--replicates", "4"]
+    assert main(args + ["--outdir", str(tmp_path / "plain")]) == 0
+    real = cli.merge_log_ratio
+    first = _limits_draw(0)
+
+    def replicate_0_finishes_last(data, *args):
+        if np.array_equal(data, first):
+            time.sleep(0.3)
+        return real(data, *args)
+
+    monkeypatch.setattr(cli, "merge_log_ratio", replicate_0_finishes_last)
+    assert main(args + ["--outdir", str(tmp_path / "slow")]) == 0
+    for name in ("limits.csv", "limits.svg"):
+        assert _read_bytes(tmp_path / "slow" / name) == _read_bytes(tmp_path / "plain" / name)
+
+
+@pytest.mark.parametrize("command", ["limits", "projector"])
+def test_many_workers_match_one_worker(tmp_path, monkeypatch, command):
+    # more workers than cores and a short switch interval, so threads
+    # interleave often; each replicate owns its draws, so the bytes match
+    args = [command, "--p-grid", "20,40", "--n1", "3", "--replicates", "8"]
+    outputs = {}
+    interval = sys.getswitchinterval()
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(args + ["--outdir", str(tmp_path / str(cpus))]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        outputs[cpus] = [_read_bytes(tmp_path / str(cpus) / f"{command}.{ext}")
+                         for ext in ("csv", "svg")]
+    assert outputs[8] == outputs[1]

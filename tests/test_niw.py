@@ -1,11 +1,14 @@
 """Cluster marginal likelihood: primal and dual forms, priors, transforms."""
 
 import time
+import tracemalloc
 from math import lgamma, log, pi
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from niwclust.errors import ConstantRow, DomainError, NotPositiveDefinite
 from niwclust.niw import (
@@ -213,6 +216,22 @@ def test_transform_data_whitens():
     assert np.allclose(yt @ sqrt + prior.mu0, ys, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("scalar", [True, False])
+def test_transform_data_rows_match_full_transform_bitwise(scalar):
+    # non-contiguous, out of order, with a repeat; the full-Lambda0 case
+    # is wide enough for the matrix product to block its rows
+    rng = np.random.default_rng(14)
+    p = 17
+    prior = random_prior(rng, p, scalar=scalar)
+    ys = rng.standard_normal((30, p)) * 3.0
+    before = ys.copy()
+    for rows in (np.array([29, 0, 7, 3, 7, 12]), np.arange(1, 30, 4), np.arange(30)):
+        picked = transform_data(ys, prior, rows)
+        assert picked.shape == (rows.size, p)
+        assert np.array_equal(picked, transform_data(ys, prior)[rows])
+    assert np.array_equal(ys, before)
+
+
 # ----------------------------------------------------- standardizing
 
 def test_row_standardize_example():
@@ -227,6 +246,39 @@ def test_row_standardize_identity_and_idempotence():
     assert np.allclose((z ** 2).sum(axis=1), 99.0, atol=1e-9)
     assert np.allclose(z.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(row_standardize(z), z, atol=1e-12)
+
+
+def _two_pass_standardize(y):
+    """The formula row_standardize used before it worked a row at a time."""
+    centered = y - y.mean(axis=1, keepdims=True)
+    sd = np.sqrt((centered ** 2).sum(axis=1) / (y.shape[1] - 1))
+    return centered / sd[:, None]
+
+
+@given(y=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                                 max_side=300),
+                    elements=st.floats(-1e6, 1e6)))
+@example(y=np.array([[1.0, 2.0, 3.0]]))
+@example(y=np.random.default_rng(15).standard_normal((3, 1031)) * 1e-3 + 7.0)
+@settings(max_examples=80, deadline=None)
+def test_row_standardize_bitwise_equals_two_pass_formula(y):
+    centered = y - y.mean(axis=1, keepdims=True)
+    if not ((centered ** 2).sum(axis=1) > 0).all():
+        with pytest.raises(ConstantRow):
+            row_standardize(y)
+        return
+    assert np.array_equal(row_standardize(y), _two_pass_standardize(y))
+
+
+def test_row_standardize_peak_memory_is_one_copy():
+    y = np.random.default_rng(16).standard_normal((20, 10 ** 5))
+    tracemalloc.start()
+    try:
+        row_standardize(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * y.nbytes
 
 
 def test_row_standardize_rejects_constant_rows():

@@ -1,6 +1,7 @@
 """Merge-ratio decomposition, closed-form terms, and dimension limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,42 @@ def test_projector_residual_shrinks_for_standardized_rows():
     assert vals[2] < 0.05
     with pytest.raises(ValueError):
         projector_residual(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("h1, h2", [(1, 3), (3, 2), (2, 1)])
+def test_merge_ratio_on_interleaved_three_cluster_partition(h1, h2):
+    # members of each cluster are spread through the rows, so every
+    # cluster's rows are a non-contiguous pick of the data
+    rng = np.random.default_rng(37)
+    labels = [1, 2, 3, 1, 3, 2, 2, 1, 3, 1, 2, 3, 3]
+    part = Partition(labels)
+    lab = np.array(labels)
+    for prior in (robust_prior(40, RobustPriorSpec(1.0, 2.0)),
+                  NiwPrior(rng.standard_normal(40), 0.8, 44.0, 1.7)):
+        data = rng.standard_normal((lab.size, 40)) + lab[:, None]
+        br = merge_log_ratio(data, part, h1, h2, prior, CrpPrior(1.0))
+
+        def lm(rows):
+            return cluster_log_marginal(ClusterView(data[rows]), prior)
+
+        direct = lm(lab == h1) + lm(lab == h2) - lm((lab == h1) | (lab == h2))
+        assert abs(br.total_likelihood - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+def test_merge_ratio_peak_memory_is_one_copy():
+    rng = np.random.default_rng(38)
+    p = 10 ** 5
+    data = rng.standard_normal((20, p))
+    prior = robust_prior(p, RobustPriorSpec(1.0, 2.0))
+    part = Partition([1] * 10 + [2] * 10)
+    crp = CrpPrior(1.0)
+    tracemalloc.start()
+    try:
+        merge_log_ratio(data, part, 1, 2, prior, crp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * data.nbytes
 
 
 def test_merge_ratio_input_validation():
