@@ -101,10 +101,10 @@ def _validate(cfg: argparse.Namespace) -> None:
     if cfg.command in _FIXED_PRIOR and cfg.prior != "robust":
         raise InvalidConfig(f"{cfg.command} takes no --prior: {_FIXED_PRIOR[cfg.command]}")
     # every command that builds a robust prior runs with prior == robust
-    if cfg.prior == "robust" and not cfg.c2 > 1:
-        raise InvalidConfig("robust prior needs c2 > 1")
-    if cfg.prior == "robust" and not cfg.c1 > 0:
-        raise InvalidConfig("robust prior needs c1 > 0")
+    if cfg.prior == "robust" and not 1 < cfg.c2 < np.inf:
+        raise InvalidConfig(f"robust prior needs c2 > 1 and finite, got {cfg.c2}")
+    if cfg.prior == "robust" and not 0 < cfg.c1 < np.inf:
+        raise InvalidConfig(f"robust prior needs c1 > 0 and finite, got {cfg.c1}")
     if cfg.prior not in ("robust", "naive") and not cfg.prior.startswith("custom:"):
         raise InvalidConfig(f"unknown prior {cfg.prior!r}")
     if cfg.command in ("sweep", "cluster"):
@@ -510,8 +510,7 @@ def main(argv=None) -> int:
         DomainError,
         NotPositiveDefinite,
         ConstantRow,
-        FloatingPointError,
-        OverflowError,
+        ArithmeticError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

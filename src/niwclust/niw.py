@@ -208,10 +208,10 @@ class NiwPrior:
         _check_finite_parameter("mu0", mu0)
         object.__setattr__(self, "mu0", mu0)
         p = mu0.size
-        if not self.kappa0 > 0:
-            raise DomainError(f"kappa0 must be positive, got {self.kappa0}")
-        if not self.nu0 > p - 1:
-            raise DomainError(f"nu0 must exceed p-1={p - 1}, got {self.nu0}")
+        if not 0 < self.kappa0 < np.inf:
+            raise DomainError(f"kappa0 must be positive and finite, got {self.kappa0}")
+        if not p - 1 < self.nu0 < np.inf:
+            raise DomainError(f"nu0 must be finite and > p-1={p - 1}, got {self.nu0}")
         if np.isscalar(self.lambda0) or np.ndim(self.lambda0) == 0:
             lam = float(self.lambda0)
             if not 0 < lam < np.inf:
@@ -264,10 +264,10 @@ class RobustPriorSpec:
     c2: float
 
     def __post_init__(self):
-        if not self.c1 > 0:
-            raise DomainError(f"c1 must be positive, got {self.c1}")
-        if not self.c2 > 1:
-            raise DomainError(f"c2 must exceed 1, got {self.c2}")
+        if not 0 < self.c1 < np.inf:
+            raise DomainError(f"c1 must be positive and finite, got {self.c1}")
+        if not 1 < self.c2 < np.inf:
+            raise DomainError(f"c2 must be finite and exceed 1, got {self.c2}")
 
 
 def robust_prior(p: int, spec: RobustPriorSpec) -> NiwPrior:

@@ -67,18 +67,6 @@ class Partition:
         if not (isinstance(h, (int, np.integer)) and 1 <= h <= self.k):
             raise UnknownLabel(f"label {h!r} not in 1..{self.k}")
 
-    def merge(self, h1: int, h2: int) -> "Partition":
-        """Partition with clusters h1 and h2 unioned, relabeled canonically.
-
-        The merged partition always has exactly k - 1 clusters.
-        """
-        self._check_label(h1)
-        self._check_label(h2)
-        if h1 == h2:
-            raise SameLabel(f"cannot merge label {h1} with itself")
-        lo = min(h1, h2)
-        return Partition(lo if lab in (h1, h2) else lab for lab in self.labels)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.labels == other.labels
 

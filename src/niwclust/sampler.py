@@ -102,28 +102,80 @@ class _Factor(NamedTuple):
     log_det: float
 
 
+class _Border(NamedTuple):
+    """Append of point i to f's cluster: with g the Gram column of i,
+    v = A^-1 g, schur = 1 + g_ii - g^T v and t = 1 - 1^T v."""
+
+    schur: float
+    f: _Factor
+    i: int
+    v: np.ndarray
+    t: float
+
+    def totals(self) -> tuple:
+        """(log|A|, 1^T A^-1 1) with i appended; schur must not have drifted."""
+        f, schur, t = self.f, self.schur, self.t
+        return f.log_det + log(schur), f.s + t * t / schur
+
+    def applied(self) -> _Factor:
+        schur, f, i, v, t = self
+        log_det, s = self.totals()
+        m = v.size
+        inv = np.empty((m + 1, m + 1))
+        inv[:m, :m] = f.inv + np.outer(v, v / schur)
+        inv[m, :m] = inv[:m, m] = -v / schur
+        inv[m, m] = 1.0 / schur
+        b = np.append(f.b - v * (t / schur), t / schur)
+        return _Factor(np.append(f.order, i), inv, b, s, log_det)
+
+
+class _Deletion(NamedTuple):
+    """Deletion of the point at position pos of f's cluster:
+    d = (A^-1)_pos,pos and schur = 1 / d, or -inf if d <= 0."""
+
+    schur: float
+    f: _Factor
+    pos: int
+    d: float
+
+    def totals(self) -> tuple:
+        """(log|A|, 1^T A^-1 1) without the point; schur must not have drifted."""
+        f, pos, d = self.f, self.pos, self.d
+        return f.log_det + log(d), f.s - f.b[pos] ** 2 / d
+
+    def applied(self) -> _Factor:
+        _, f, pos, d = self
+        log_det, s = self.totals()
+        col = np.delete(f.inv[pos], pos)
+        inv = np.delete(np.delete(f.inv, pos, 0), pos, 1) - np.outer(col, col / d)
+        b = np.delete(f.b, pos) - col * (f.b[pos] / d)
+        return _Factor(np.delete(f.order, pos), inv, b, s, log_det)
+
+
 class _ChainCache:
     """Per-chain quantities for incremental cluster marginal evaluation.
 
     Holds the Gram matrix G of the transformed data and the size-indexed
     part of the marginal (``niw.size_constants``), so a cluster's log
     marginal needs only log|I + G_c| and 1^T (I + G_c)^-1 1.  Those
-    come from ``factors``, keyed by the member tuple of every current
-    cluster of two or more points.  Adding a point to a cluster is a
-    bordered append to its ``_Factor``, O(n_c^2); removing one is a
-    Schur deletion, O(1) for the marginal.
+    come from ``factors``, which maps the member tuple of a current
+    cluster of two or more points to its ``_Factor``.  Adding a point to
+    a cluster is a bordered append to its factor, O(n_c^2); removing one
+    is a Schur deletion, O(1) for the marginal.
     A memo answers repeated evaluations.  It is keyed by ``code(idx)``,
     the XOR of the members' ``codes``, so the key of a cluster with a
     point added or removed is one XOR away and a memo hit costs O(1)
-    whatever the cluster size.  Only misses touch the factors.
+    whatever the cluster size.  Only misses read the factors.
 
-    Moving a point between clusters does not touch the factors at once:
-    the store records (base factor, pending moves) and replays the moves
-    when an evaluation next needs that cluster's factor, so chains that
-    live on memo hits do no factor work.  A record whose pending moves
-    outnumber its members has its base dropped (None) and is rebuilt
-    from its Gram block instead.  Records are never mutated, so copying
-    the dict snapshots the store.
+    ``move`` updates the factors of both clusters as soon as a point
+    changes cluster.  A chain whose points kept moving while the memo
+    answered would pay O(n_c^2) a move for factors it never reads; no
+    benchmark chain does this, as nearly all moves come in the first
+    sweep, where the clusters they touch are evaluated again anyway.
+    A cluster with no entry (a fresh pair, or each cluster of a rebuilt
+    chain) is built from its Gram block on first use, and one whose
+    update drifted is rebuilt from it.  Entries are never mutated, so
+    copying the dict snapshots the store.
     """
 
     def __init__(self, data: np.ndarray, prior: NiwPrior):
@@ -169,99 +221,42 @@ class _ChainCache:
             f.log_det,
         )
 
-    def _border(self, f: _Factor, i: int):
-        """(Schur complement, f, v, t) for appending i to f's cluster."""
+    def _border(self, f: _Factor, i: int) -> _Border:
         g = self.gram[i, f.order]
         v = f.inv @ g
-        return 1.0 + self._diag[i] - float(g @ v), f, v, 1.0 - float(f.b @ g)
+        schur = 1.0 + self._diag[i] - float(g @ v)
+        return _Border(schur, f, i, v, 1.0 - float(f.b @ g))
 
     @staticmethod
-    def _deletion(f: _Factor, i: int):
-        """(Schur complement, f, position of i, (A^-1)_ii) for deleting i."""
+    def _deletion(f: _Factor, i: int) -> _Deletion:
         pos = int(np.flatnonzero(f.order == i)[0])
         d = float(f.inv[pos, pos])
-        return (1.0 / d if d > 0.0 else -inf), f, pos, d
-
-    @staticmethod
-    def _appended(schur, f, v, t, i) -> _Factor:
-        m = v.size
-        inv = np.empty((m + 1, m + 1))
-        inv[:m, :m] = f.inv + np.outer(v, v / schur)
-        inv[m, :m] = inv[:m, m] = -v / schur
-        inv[m, m] = 1.0 / schur
-        return _Factor(
-            np.append(f.order, i),
-            inv,
-            np.append(f.b - v * (t / schur), t / schur),
-            f.s + t * t / schur,
-            f.log_det + log(schur),
-        )
-
-    @staticmethod
-    def _deleted(schur, f, pos, d) -> _Factor:
-        col = np.delete(f.inv[pos], pos)
-        return _Factor(
-            np.delete(f.order, pos),
-            np.delete(np.delete(f.inv, pos, 0), pos, 1) - np.outer(col, col / d),
-            np.delete(f.b, pos) - col * (f.b[pos] / d),
-            f.s - f.b[pos] ** 2 / d,
-            f.log_det + log(d),
-        )
+        return _Deletion(1.0 / d if d > 0.0 else -inf, f, pos, d)
 
     def _factor(self, idx: tuple) -> _Factor:
-        """Factor of current cluster idx, with its pending moves applied."""
-        f = self.factors[idx]
-        if isinstance(f, _Factor):
-            return f
-        f, moves = f
-        for j, added in moves:
-            out = self._border(f, j) if added else self._deletion(f, j)
-            if _drifted(out[0]):
-                f = None
-                break
-            f = self._appended(*out, j) if added else self._deleted(*out)
+        """Factor of current cluster idx, built on first use."""
+        f = self.factors.get(idx)
         if f is None:
-            f = self._build(idx)
-        self.factors[idx] = f
+            f = self.factors[idx] = self._build(idx)
         return f
 
-    def _stable(self, idx: tuple, step):
-        """Apply step to idx's factor; rebuild the factor once on drift."""
-        out = step(self._factor(idx))
-        if _drifted(out[0]):
-            f = self.factors[idx] = self._build(idx)
-            out = step(f)
-            if not 0.0 < out[0] < inf:
-                raise NotPositiveDefinite(
-                    f"Schur complement {out[0]} in a cluster of {len(idx)}"
-                )
-        return out
-
     def move(self, i: int, members: tuple, rest: tuple, target: tuple, key: tuple):
-        """Record that i left members (now rest) and joined target (now key)."""
-        if len(rest) > 1:
-            self.factors[rest] = self._defer(self.factors[members], i, False, len(rest))
-        if len(target) > 1:
-            self.factors[key] = self._defer(self.factors[target], i, True, len(key))
-        elif target:
-            self.factors[key] = (None, ())
-        self.factors.pop(members, None)
-        self.factors.pop(target, None)
-
-    @staticmethod
-    def _defer(record, i: int, added: bool, size: int):
-        base, moves = (record, ()) if isinstance(record, _Factor) else record
-        if base is None or len(moves) >= size:
-            return (None, ())
-        return (base, moves + ((i, added),))
+        """Update the factors: i left members (now rest) and joined target (now
+        key).  A drifted update is rebuilt from the new cluster's Gram block."""
+        for old, new, step in ((members, rest, self._deletion),
+                               (target, key, self._border)):
+            f = self.factors.pop(old, None)
+            if f is not None and len(new) > 1:
+                out = step(f, i)
+                drifted = _drifted(out.schur)
+                self.factors[new] = self._build(new) if drifted else out.applied()
 
     # ------------------------------------------------------- marginals
 
     def log_marginal(self, idx: tuple) -> float:
-        """Log marginal of a current cluster; adds it to the factors."""
+        """Log marginal of a current cluster."""
         if len(idx) == 1:
             return self.single[idx[0]]
-        self.factors.setdefault(idx, (None, ()))
         key = self.code(idx)
         value = self._memo.get(key)
         if value is None:
@@ -273,17 +268,28 @@ class _ChainCache:
         f = self._factor(idx)
         return float(self._value(len(idx), f.log_det, f.s))
 
+    def _changed(self, idx: tuple, step, i: int, key: int, size: int) -> float:
+        """Log marginal of current cluster idx with i appended or deleted
+        (step is _border or _deletion), memoised under key; size is the new
+        cluster's.  A drifted factor is rebuilt from its Gram block once."""
+        out = step(self._factor(idx), i)
+        if _drifted(out.schur):
+            f = self.factors[idx] = self._build(idx)
+            out = step(f, i)
+            if not 0.0 < out.schur < inf:
+                raise NotPositiveDefinite(
+                    f"Schur complement {out.schur} in a cluster of {len(idx)}"
+                )
+        value = float(self._value(size, *out.totals()))
+        self._remember([key], [value], size)
+        return value
+
     def removed(self, members: tuple, i: int, key: int) -> float:
         """Log marginal of current cluster members (three or more points)
         without i, whose code is key."""
         value = self._memo.get(key)
         if value is None:
-            _, f, pos, d = self._stable(members, lambda f: self._deletion(f, i))
-            size = len(members) - 1
-            value = float(
-                self._value(size, f.log_det + log(d), f.s - f.b[pos] ** 2 / d)
-            )
-            self._remember([key], [value], size)
+            value = self._changed(members, self._deletion, i, key, len(members) - 1)
         return value
 
     def grown(self, i: int, labs: list, clusters: dict, code: dict, home=None) -> list:
@@ -310,7 +316,7 @@ class _ChainCache:
                     value = self._factor_value(idx)
                     self._remember([key], [value], len(idx))
                 else:
-                    value = self._grow(idx, i, key)
+                    value = self._changed(idx, self._border, i, key, len(idx) + 1)
             values.append(value)
         if at:
             js = [clusters[labs[k]][0] for k in at]
@@ -323,13 +329,6 @@ class _ChainCache:
                 values[k] = value
             self._remember(keys, scored, 2 * len(at))
         return values
-
-    def _grow(self, idx: tuple, i: int, key: int) -> float:
-        schur, f, _, t = self._stable(idx, lambda f: self._border(f, i))
-        size = len(idx) + 1
-        value = float(self._value(size, f.log_det + log(schur), f.s + t * t / schur))
-        self._remember([key], [value], size)
-        return value
 
 
 @dataclass
@@ -436,9 +435,6 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     chain = state.chain
     if chain is None or (chain.data is not data and not np.array_equal(chain.data, data)):
         chain = state.chain = _ChainCache(data, state.prior)
-        chain.factors = {
-            idx: (None, ()) for idx in state.clusters.values() if len(idx) > 1
-        }
     labels = state.labels
     clusters = state.clusters
     log_ml = state.log_ml

@@ -16,7 +16,8 @@ from scipy import integrate
 from scipy.special import gammaln, logsumexp
 from scipy.stats import multivariate_t
 
-from niwclust.errors import DomainError
+from niwclust.errors import DomainError, SameLabel
+from niwclust.partition import Partition
 
 mpmath.mp.dps = 50
 
@@ -161,6 +162,15 @@ def set_partitions(n: int) -> list:
 
     grow([], 0)
     return out
+
+
+def merge(part: Partition, h1: int, h2: int) -> Partition:
+    """part with clusters h1 and h2 unioned and relabeled canonically, so
+    it has k - 1 clusters."""
+    if h1 == h2:
+        raise SameLabel(f"cannot merge label {h1} with itself")
+    lo = min(h1, h2)
+    return Partition(lo if lab in (h1, h2) else lab for lab in part.labels)
 
 
 def log_crp(labels, alpha: float) -> float:

@@ -243,13 +243,24 @@ def test_commands_with_their_own_prior_reject_prior(tmp_path, capsys):
 
 
 def test_c1_c2_checked_for_every_robust_prior_command(tmp_path, capsys):
+    # an infinite c1 or c2 used to run and write nan into the limits
     for command in ("limits", "sweep", "cluster"):
         for flag, value, message in (("--c2", "0.5", "robust prior needs c2 > 1"),
-                                     ("--c1", "0", "robust prior needs c1 > 0")):
+                                     ("--c1", "0", "robust prior needs c1 > 0"),
+                                     ("--c2", "inf", "c2 > 1 and finite, got inf"),
+                                     ("--c1", "inf", "c1 > 0 and finite, got inf")):
             argv = [command, "--p-grid", "20", "--input", "unused.csv",
                     flag, value, "--outdir", str(tmp_path)]
             assert main(argv) == 2
             assert message in capsys.readouterr().err
+
+
+def test_underflowing_c1_exits_3(tmp_path, capsys):
+    # c1**2 underflows to 0 in analytic_limits: a numeric error, no traceback
+    assert main(["limits", "--p-grid", "10,100", "--c1", "1e-300",
+                 "--outdir", str(tmp_path)]) == 3
+    assert "numeric error: float division by zero" in capsys.readouterr().err
+    assert not (tmp_path / "limits.csv").exists()
 
 
 def test_truth_labels_must_be_integers(tmp_path, capsys):
@@ -338,6 +349,16 @@ def test_custom_prior_paths(tmp_path, capsys):
     assert main(["cluster", "--input", str(data_path), "--prior",
                  f"custom:{bad_nu}", "--sweeps", "12", "--burnin", "2",
                  "--outdir", str(tmp_path)]) == 3
+
+    # rejected by name, not later as a non-finite reassignment weight
+    for key, message in (("kappa0", "kappa0 must be positive and finite"),
+                         ("nu0", "nu0 must be finite")):
+        infinite = tmp_path / f"inf_{key}.cfg"
+        infinite.write_text(f"{key}=inf\n")
+        assert main(["cluster", "--input", str(data_path), "--prior",
+                     f"custom:{infinite}", "--sweeps", "12", "--burnin", "2",
+                     "--outdir", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
 
 
 # Imports niwclust with nothing blocked, checks that scipy stayed out,

@@ -160,6 +160,10 @@ def test_robust_prior_spec_validation():
         RobustPriorSpec(0.0, 2.0)
     with pytest.raises(DomainError):
         RobustPriorSpec(1.0, 1.0)  # nu0 would not dominate p
+    with pytest.raises(DomainError, match="c1 must be positive and finite"):
+        RobustPriorSpec(np.inf, 2.0)
+    with pytest.raises(DomainError, match="c2 must be finite"):
+        RobustPriorSpec(1.0, np.inf)
     with pytest.raises(DomainError):
         robust_prior(1, RobustPriorSpec(1.0, 2.0))
 
@@ -190,6 +194,10 @@ def test_non_finite_prior_is_rejected_by_name(bad):
     if bad > 0:
         with pytest.raises(DomainError, match="lambda0 must be positive and finite"):
             NiwPrior(np.zeros(2), 1.0, 5.0, bad)
+    with pytest.raises(DomainError, match="kappa0 must be positive and finite"):
+        NiwPrior(np.zeros(2), bad, 5.0, 1.0)
+    with pytest.raises(DomainError, match="nu0 must be finite"):
+        NiwPrior(np.zeros(2), 1.0, bad, 1.0)
 
 
 def test_scalar_and_matrix_lambda0_agree():

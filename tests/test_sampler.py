@@ -199,6 +199,18 @@ def _members(key):
     return tuple(j for j in range(key.bit_length()) if key >> j & 1)
 
 
+def _assert_matches_build(chain, idx, f, rel):
+    """f is a _Factor of cluster idx that agrees with _build(idx) to rel."""
+    assert isinstance(f, sampler._Factor)
+    ref = chain._build(idx)
+    perm = np.argsort(f.order)
+    assert np.array_equal(f.order[perm], ref.order)
+    assert np.allclose(f.inv[perm][:, perm], ref.inv, rtol=rel, atol=1e-12)
+    assert np.allclose(f.b[perm], ref.b, rtol=rel, atol=1e-12)
+    assert f.s == pytest.approx(ref.s, rel=rel)
+    assert f.log_det == pytest.approx(ref.log_det, rel=rel, abs=rel)
+
+
 def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     data, prior = _mixing_problem()
     # a memo too small to answer anything sends every evaluation
@@ -206,23 +218,29 @@ def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     monkeypatch.setattr(sampler, "_MEMO_BUDGET", data.shape[0])
     _exact_codes(monkeypatch)
     counts = {"append": 0, "delete": 0}
-    cache = sampler._ChainCache
 
-    def counted(name, fn):
-        def wrapper(*args):
+    def count(name, step):
+        applied = step.applied
+
+        def wrapper(self):
             counts[name] += 1
-            return fn(*args)
-        return staticmethod(wrapper)
+            return applied(self)
+        monkeypatch.setattr(step, "applied", wrapper)
 
-    monkeypatch.setattr(cache, "_appended", counted("append", cache._appended))
-    monkeypatch.setattr(cache, "_deleted", counted("delete", cache._deleted))
+    count("append", sampler._Border)
+    count("delete", sampler._Deletion)
     state = init_state(data, prior, CrpPrior(1.0), 4, init="single")
-    while min(counts.values()) < 5000:
+    for _ in range(2000):  # about 500 sweeps apply 5000 of each
+        if min(counts.values()) >= 5000:
+            break
         gibbs_sweep(state, data)
+    assert min(counts.values()) >= 5000
     state.check_consistency(data)
     chain = state.chain
     assert state.k() > 1
     assert set(chain.factors) == {idx for idx in state.clusters.values() if len(idx) > 1}
+    for idx, f in chain.factors.items():
+        _assert_matches_build(chain, idx, f, rel=1e-8)
     cached = [(idx, chain._factor_value(idx)) for idx in list(chain.factors)]
     cached += [(_members(key), value) for key, value in chain._memo.items()]
     assert len(cached) > len(chain.factors)
@@ -302,20 +320,14 @@ def test_factor_updates_match_direct_factorization(seed, steps):
         outside = sorted(set(range(10)) - set(members))
         if outside and (len(members) == 1 or rng.random() < 0.5):
             j = int(rng.choice(outside))
-            f = chain._appended(*chain._border(f, j), j)
+            f = chain._border(f, j).applied()
             members.append(j)
         else:
             j = int(rng.choice(members))
-            f = chain._deleted(*chain._deletion(f, j))
+            f = chain._deletion(f, j).applied()
             members.remove(j)
         members.sort()
-        ref = chain._build(tuple(members))
-        perm = np.argsort(f.order)
-        assert np.array_equal(f.order[perm], ref.order)
-        assert np.allclose(f.inv[perm][:, perm], ref.inv, rtol=1e-9, atol=1e-12)
-        assert np.allclose(f.b[perm], ref.b, rtol=1e-9, atol=1e-12)
-        assert f.s == pytest.approx(ref.s, rel=1e-9)
-        assert f.log_det == pytest.approx(ref.log_det, rel=1e-9, abs=1e-9)
+        _assert_matches_build(chain, tuple(members), f, rel=1e-9)
 
 
 def test_factor_is_not_mutated_by_update():
@@ -323,8 +335,8 @@ def test_factor_is_not_mutated_by_update():
     chain = sampler._ChainCache(data, prior)
     f = chain._build((1, 3, 4, 6))
     before = [a.copy() for a in (f.order, f.inv, f.b)] + [f.s, f.log_det]
-    chain._appended(*chain._border(f, 2), 2)
-    chain._deleted(*chain._deletion(f, 4))
+    chain._border(f, 2).applied()
+    chain._deletion(f, 4).applied()
     after = [f.order, f.inv, f.b, f.s, f.log_det]
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
@@ -349,12 +361,18 @@ def test_drifted_factor_is_rebuilt():
     key = (0, 2, 3, 5, 7)
     (value,) = chain.grown(7, [1], {1: members}, {1: chain.code(members)})
     assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
-    # and so is a pending move that cannot be replayed on its base
-    del chain.factors[members]
-    chain.factors[(0, 2, 3, 5, 6)] = (nan_factor, ((6, True),))
-    assert chain._factor_value((0, 2, 3, 5, 6)) == pytest.approx(
-        _direct(data, prior, (0, 2, 3, 5, 6)), rel=1e-10
-    )
+    # and a move off or onto a drifted factor builds the new cluster
+    # from its Gram block, for the cluster left as for the one joined
+    pair = (1, 6)
+    chain.factors = {
+        members: nan_factor,
+        pair: chain._build(pair)._replace(inv=np.full((2, 2), np.nan)),
+    }
+    chain.move(3, members, rest, pair, (1, 3, 6))
+    assert set(chain.factors) == {rest, (1, 3, 6)}
+    for idx, f in chain.factors.items():
+        ref = chain._build(idx)
+        assert all(np.array_equal(a, b) for a, b in zip(f, ref))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
