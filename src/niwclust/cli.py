@@ -96,8 +96,10 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise InvalidConfig("replicates must be >= 1")
     if cfg.n1 < 1 or cfg.n2 < 1:
         raise InvalidConfig("n1 and n2 must be >= 1")
-    if not cfg.alpha > 0:
-        raise InvalidConfig("alpha must be positive")
+    if not 0 < cfg.alpha < np.inf:
+        raise InvalidConfig(f"alpha must be positive and finite, got {cfg.alpha}")
+    if cfg.seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {cfg.seed}")
     if cfg.command in _FIXED_PRIOR and cfg.prior != "robust":
         raise InvalidConfig(f"{cfg.command} takes no --prior: {_FIXED_PRIOR[cfg.command]}")
     # every command that builds a robust prior runs with prior == robust

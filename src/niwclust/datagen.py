@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec
-from .niw import row_standardize
 from .partition import Partition
 
 __all__ = ["GenSpec", "generate", "RNG_NAME"]
 
 RNG_NAME = "numpy-PCG64"
 
-_KINDS = ("single_gaussian", "two_cluster_mixture", "k_cluster_mixture")
+_KINDS = ("single_gaussian", "two_cluster_mixture")
 
 
 @dataclass(frozen=True)
@@ -27,9 +26,7 @@ class GenSpec:
     kind "single_gaussian" draws n iid N(0, I_p) rows (the null case);
     "two_cluster_mixture" draws from the balanced mixture
     0.5 N(+s/2 * 1, I) + 0.5 N(-s/2 * 1, I) with s = separation, so the
-    two component means differ by `separation` in every coordinate;
-    "k_cluster_mixture" spaces k component means `separation` apart per
-    coordinate.  standardize applies row standardization to the output.
+    two component means differ by `separation` in every coordinate.
     """
 
     kind: str
@@ -37,8 +34,6 @@ class GenSpec:
     p: int
     separation: float = 0.0
     seed: int = 0
-    standardize: bool = False
-    k: int = 3
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -47,8 +42,6 @@ class GenSpec:
             raise InvalidSpec(f"need n >= 2 and p >= 2, got n={self.n}, p={self.p}")
         if self.separation < 0:
             raise InvalidSpec(f"separation must be >= 0, got {self.separation}")
-        if self.k < 1:
-            raise InvalidSpec(f"component count must be >= 1, got {self.k}")
 
 
 def generate(spec: GenSpec):
@@ -63,16 +56,9 @@ def generate(spec: GenSpec):
     """
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "single_gaussian":
-        comps = np.zeros(spec.n, dtype=int)
-    elif spec.kind == "two_cluster_mixture":
-        comps = rng.integers(0, 2, size=spec.n)
+        n_comp, comps = 1, np.zeros(spec.n, dtype=int)
     else:
-        comps = rng.integers(0, spec.k, size=spec.n)
-    n_comp = 1 if spec.kind == "single_gaussian" else (
-        2 if spec.kind == "two_cluster_mixture" else spec.k
-    )
+        n_comp, comps = 2, rng.integers(0, 2, size=spec.n)
     offsets = (np.arange(n_comp) - (n_comp - 1) / 2.0) * spec.separation
     data = rng.standard_normal((spec.n, spec.p)) + offsets[comps][:, None]
-    if spec.standardize:
-        data = row_standardize(data)
     return data, Partition(comps + 1)

@@ -9,8 +9,9 @@ has the closed-form marginal likelihood
 
 with S the centered scatter and d = ybar - mu0 (see e.g. Murphy [1]).
 The primal evaluation factorizes the p x p matrix directly.  For p much
-larger than n the same value is computed in n x n space: after the
-transformation ytilde = Lambda0^{-1/2}(y - mu0) the determinant splits
+larger than n the same value is computed in n x n space: every prior
+here has Lambda0 = lambda0 * I, and after the transformation
+ytilde = (y - mu0) / sqrt(lambda0) the determinant splits
 into |I_n + G| for the Gram matrix G = Ytilde Ytilde^T and a scalar
 factor obtained from the Woodbury identity, so the cost is
 O(p n^2 + n^3) instead of O(p^3).
@@ -24,7 +25,7 @@ References
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -147,8 +148,8 @@ def spd_log_det(m) -> float:
     NotPositiveDefinite
         If the diagonal is not positive, the factorization fails or any
         pivot falls below ``PIVOT_RTOL * max(diag(m))``.  A failure here
-        usually signals a degenerate scatter matrix or an invalid prior
-        scale.
+        usually signals a prior scale lambda0 negligible against a
+        degenerate scatter matrix.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -171,14 +172,6 @@ def spd_log_det(m) -> float:
     return float(2.0 * np.log(np.diag(lower)).sum())
 
 
-def _check_finite_parameter(name: str, a: NDArray[np.float64]) -> None:
-    """Reject a prior array with a NaN or infinite entry, naming it."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        where = ", ".join(str(k) for k in np.argwhere(bad)[0])
-        raise DomainError(f"{name}[{where}] is {a[bad][0]}; {name} must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class NiwPrior:
     """Normal-Inverse-Wishart prior (mu0, kappa0, nu0, Lambda0).
@@ -191,63 +184,47 @@ class NiwPrior:
         Prior precision scale, > 0.
     nu0 : float
         Inverse-Wishart degrees of freedom, > p - 1.
-    lambda0 : float or (p, p) ndarray
-        Inverse-Wishart scale.  A float lam means the scalar matrix
-        lam * I_p; a full matrix must be symmetric positive definite.
+    lambda0 : float
+        Inverse-Wishart scale: Lambda0 is the scalar matrix lambda0 * I_p,
+        with lambda0 positive and finite.  A 0-d array is accepted; an
+        array of any other shape is rejected.
     """
 
     mu0: NDArray[np.float64]
     kappa0: float
     nu0: float
-    lambda0: Union[float, NDArray[np.float64]]
+    lambda0: float
 
     def __post_init__(self):
         mu0 = np.asarray(self.mu0, dtype=float)
         if mu0.ndim != 1 or mu0.size < 1:
             raise DomainError(f"mu0 must be a vector, got shape {mu0.shape}")
-        _check_finite_parameter("mu0", mu0)
+        bad = np.flatnonzero(~np.isfinite(mu0))
+        if bad.size:
+            raise DomainError(f"mu0[{bad[0]}] is {mu0[bad[0]]}; mu0 must be finite")
         object.__setattr__(self, "mu0", mu0)
         p = mu0.size
         if not 0 < self.kappa0 < np.inf:
             raise DomainError(f"kappa0 must be positive and finite, got {self.kappa0}")
         if not p - 1 < self.nu0 < np.inf:
             raise DomainError(f"nu0 must be finite and > p-1={p - 1}, got {self.nu0}")
-        if np.isscalar(self.lambda0) or np.ndim(self.lambda0) == 0:
-            lam = float(self.lambda0)
-            if not 0 < lam < np.inf:
-                raise DomainError(
-                    f"scalar lambda0 must be positive and finite, got {lam}"
-                )
-            object.__setattr__(self, "lambda0", lam)
-        else:
-            lam = np.asarray(self.lambda0, dtype=float)
-            if lam.shape != (p, p):
-                raise DomainError(
-                    f"lambda0 shape {lam.shape} does not match p={p}"
-                )
-            _check_finite_parameter("lambda0", lam)
-            object.__setattr__(self, "lambda0", lam)
-            spd_log_det(lam)  # raises NotPositiveDefinite when invalid
+        if np.ndim(self.lambda0) != 0:
+            raise DomainError(
+                f"lambda0 must be a scalar (Lambda0 = lambda0 * I), "
+                f"got shape {np.shape(self.lambda0)}"
+            )
+        lam = float(self.lambda0)
+        if not 0 < lam < np.inf:
+            raise DomainError(f"scalar lambda0 must be positive and finite, got {lam}")
+        object.__setattr__(self, "lambda0", lam)
 
     @property
     def p(self) -> int:
         return self.mu0.size
 
-    @property
-    def scalar_lambda0(self) -> bool:
-        return isinstance(self.lambda0, float)
-
     @cached_property
     def lambda0_log_det(self) -> float:
-        if self.scalar_lambda0:
-            return self.p * float(np.log(self.lambda0))
-        return spd_log_det(self.lambda0)
-
-    def lambda0_matrix(self) -> NDArray[np.float64]:
-        """Lambda0 as an explicit p x p matrix (primal evaluation only)."""
-        if self.scalar_lambda0:
-            return self.lambda0 * np.eye(self.p)
-        return np.asarray(self.lambda0)
+        return self.p * float(np.log(self.lambda0))
 
 
 @dataclass(frozen=True)
@@ -351,22 +328,19 @@ class ClusterView:
 
 
 def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
-    """Apply ytilde_i = Lambda0^{-1/2} (y_i - mu0) row-wise.
+    """Apply ytilde_i = (y_i - mu0) / sqrt(lambda0) row-wise.
 
-    Uses the symmetric square root for a full Lambda0; for a scalar
-    Lambda0 = lam * I this is just (y - mu0) / sqrt(lam).  Under the
-    transformed data the prior has mu0 = 0 and Lambda0 = I.  Rejects
-    non-finite data anywhere in y with :func:`check_finite`, naming the
-    cell by its row in y.  A cell that overflows in the transform
-    becomes infinite without a warning; every caller forms the Gram
-    matrix with :func:`gram_matrix`, which rejects its row.
+    Under the transformed data the prior has mu0 = 0 and Lambda0 = I.
+    Rejects non-finite data anywhere in y with :func:`check_finite`,
+    naming the cell by its row in y.  A cell that overflows in the
+    transform becomes infinite without a warning; every caller forms the
+    Gram matrix with :func:`gram_matrix`, which rejects its row.
 
     rows, an integer index array, selects the rows to transform, in its
     order; the result equals ``transform_data(y, prior)[rows]`` bit for
-    bit.  For a scalar Lambda0 only the selected rows (all of y by
-    default) are copied, once, then centered and scaled in place, so
-    the call holds one copy of them.  A full Lambda0 transforms all of
-    y and then selects.  y itself is never modified.
+    bit.  Only the selected rows (all of y by default) are copied, once,
+    then centered and scaled in place, so the call holds one copy of
+    them.  y itself is never modified.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -374,22 +348,13 @@ def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     if y.shape[1] != prior.p:
         raise ValueError(f"data width {y.shape[1]} does not match prior p={prior.p}")
     check_finite(y)
+    # np.take always copies; it refuses a slice, whose view the
+    # in-place steps would write through to y
+    out = y.copy() if rows is None else np.take(y, rows, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        if prior.scalar_lambda0:
-            # np.take always copies; it refuses a slice, whose view the
-            # in-place steps would write through to y
-            out = y.copy() if rows is None else np.take(y, rows, axis=0)
-            out -= prior.mu0
-            out /= np.sqrt(prior.lambda0)
-            return out
-        w, v = np.linalg.eigh(prior.lambda0)
-        if np.min(w) <= 0 or np.min(w) < 1e-12 * np.max(w):
-            raise NotPositiveDefinite("lambda0 eigenvalue not positive")
-        inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-        # the rounding of a row of a matrix product can depend on the
-        # rows multiplied with it, so rows are picked from the product
-        out = (y - prior.mu0) @ inv_sqrt
-        return out if rows is None else out[rows]
+        out -= prior.mu0
+        out /= np.sqrt(prior.lambda0)
+    return out
 
 
 def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
@@ -532,8 +497,8 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
     prior : NiwPrior
     form : {"auto", "primal", "dual"}
         "primal" factorizes the p x p posterior scale matrix, "dual"
-        works in n x n space (scalar Lambda0 only).  "auto" picks the
-        dual route when Lambda0 is scalar and p > 4 * n.
+        works in n x n space.  "auto" picks the dual route when
+        p > 4 * n.
 
     Returns
     -------
@@ -547,8 +512,8 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
     NotPositiveDefinite
         If the inner p x p matrix is numerically singular.
     DomainError
-        If nu0 < p (see :func:`check_nu0`), if form is "dual" with a
-        full Lambda0, or if the Gram matrix of the dual form overflows.
+        If nu0 < p (see :func:`check_nu0`) or if the Gram matrix of the
+        dual form overflows.
     """
     if c.n == 0:
         return 0.0
@@ -557,18 +522,14 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
     if form not in ("auto", "primal", "dual"):
         raise ValueError(f"unknown form {form!r}")
     n = c.n
-    dual = form == "dual" or (
-        form == "auto" and prior.scalar_lambda0 and c.p > _DUAL_RATIO * n
-    )
-    if dual and not prior.scalar_lambda0:
-        raise DomainError("dual form requires a scalar lambda0")
+    dual = form == "dual" or (form == "auto" and c.p > _DUAL_RATIO * n)
     consts = size_constants(prior, n)
     if dual:
         f = factor_gram(gram_matrix(transform_data(c.rows, prior)))
         return float(dual_log_marginal(consts, prior, n, f.log_det, f.z @ f.z))
 
     d = c.mean - prior.mu0
-    inner = prior.lambda0_matrix() + c.scatter
+    inner = prior.lambda0 * np.eye(c.p) + c.scatter
     inner += (n * prior.kappa0 / (n + prior.kappa0)) * np.outer(d, d)
     log_det_inner = spd_log_det(inner)
     return float(

@@ -79,13 +79,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class CrpPrior:
-    """Chinese restaurant process prior with concentration alpha > 0."""
+    """Chinese restaurant process prior with concentration 0 < alpha < inf."""
 
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def eppf_log_ratio(part: Partition, h1: int, h2: int, prior: CrpPrior) -> float:

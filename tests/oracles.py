@@ -17,6 +17,7 @@ from scipy.special import gammaln, logsumexp
 from scipy.stats import multivariate_t
 
 from niwclust.errors import DomainError, SameLabel
+from niwclust.niw import ClusterView, NiwPrior, cluster_log_marginal
 from niwclust.partition import Partition
 
 mpmath.mp.dps = 50
@@ -124,13 +125,35 @@ def t_chain_log_marginal(ys, mu0, kappa0: float, nu0: float, lam0) -> float:
     return total
 
 
+def full_scale_log_marginal(ys, mu0, kappa0: float, nu0: float, lam0) -> float:
+    """The package's cluster marginal under a full p x p scale Lambda0.
+
+    The package's priors all have Lambda0 = lambda0 * I.  With
+    L L^T = Lambda0, the change of variables z = L^-1 (y - mu0) maps
+    the prior (mu0, kappa0, nu0, Lambda0) to (0, kappa0, nu0, I), and
+    its Jacobian |L|^-n gives exactly
+
+        log m(Y | mu0, kappa0, nu0, Lambda0)
+            = log m(Z | 0, kappa0, nu0, 1) - n/2 log|Lambda0|.
+
+    Unlike the rest of this module this evaluates the package; it is
+    how the full-matrix oracles here still check it.
+    """
+    ys = np.asarray(ys, dtype=float)
+    lower = np.linalg.cholesky(np.asarray(lam0, dtype=float))
+    z = np.linalg.solve(lower, (ys - mu0).T).T
+    prior = NiwPrior(np.zeros(ys.shape[1]), kappa0, nu0, 1.0)
+    log_det = 2.0 * float(np.log(np.diag(lower)).sum())
+    return cluster_log_marginal(ClusterView(z), prior) - ys.shape[0] / 2.0 * log_det
+
+
 @st.composite
 def rows_and_scalar_prior(draw, min_n=1):
     """(rows, (mu0, kappa0, nu0, lam0)) for the marginal properties.
 
     n and p go down to 1, and the rows are drawn with replacement from a
     pool of n random rows, so duplicate rows are common.  lam0 is a
-    scalar, which the dual form needs, and nu0 >= p, which every
+    scalar, as every package prior is, and nu0 >= p, which every
     marginal needs.
     """
     p = draw(st.integers(1, 4))

@@ -113,9 +113,11 @@ def test_criterion_03_marginal_vs_quadrature():
     details.append(f"p1 rel {rel1:.2g}")
 
     # p = 2, frozen cubature value for one observation
-    prior2 = NiwPrior(np.array(oracles.QUAD_P2_MU0), oracles.QUAD_P2_KAPPA0,
-                      oracles.QUAD_P2_NU0, np.array(oracles.QUAD_P2_LAMBDA0))
-    mine2 = cluster_log_marginal(ClusterView(np.array([oracles.QUAD_P2_Y])), prior2)
+    # (the package's priors are scalar; a full Lambda0 reaches it through
+    # the change of variables in oracles.full_scale_log_marginal)
+    mine2 = oracles.full_scale_log_marginal(
+        np.array([oracles.QUAD_P2_Y]), np.array(oracles.QUAD_P2_MU0),
+        oracles.QUAD_P2_KAPPA0, oracles.QUAD_P2_NU0, oracles.QUAD_P2_LAMBDA0)
     rel2 = abs(mine2 - oracles.QUAD_P2_LOG) / abs(oracles.QUAD_P2_LOG)
     ok = ok and rel2 < 1e-6
     details.append(f"p2 rel {rel2:.2g}")
@@ -126,8 +128,8 @@ def test_criterion_03_marginal_vs_quadrature():
     lam3 = np.array([[1.5, 0.2, 0.0], [0.2, 1.1, -0.1], [0.0, -0.1, 0.9]])
     chain = oracles.t_chain_log_marginal(ys3, mu0=np.array([0.1, -0.2, 0.0]),
                                          kappa0=1.2, nu0=5.5, lam0=lam3)
-    prior3 = NiwPrior(np.array([0.1, -0.2, 0.0]), 1.2, 5.5, lam3)
-    mine3 = cluster_log_marginal(ClusterView(ys3), prior3)
+    mine3 = oracles.full_scale_log_marginal(ys3, np.array([0.1, -0.2, 0.0]),
+                                            1.2, 5.5, lam3)
     rel3 = abs(mine3 - chain) / abs(chain)
     ok = ok and rel3 < 1e-6
     details.append(f"p3 rel {rel3:.2g}")

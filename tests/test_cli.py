@@ -255,6 +255,26 @@ def test_c1_c2_checked_for_every_robust_prior_command(tmp_path, capsys):
             assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    *[(c, "--seed", "-1", "seed must be >= 0, got -1")
+      for c in ("limits", "projector", "sweep", "cluster")],
+    *[(c, "--alpha", "inf", "alpha must be positive and finite, got inf")
+      for c in ("limits", "sweep", "cluster")],
+])
+def test_bad_seed_or_alpha_exits_2(tmp_path, capsys, command, flag, value, message):
+    # numpy's seeding raises a bare ValueError on a negative seed, and an
+    # infinite alpha makes the CRP weights non-finite
+    data, _ = generate(GenSpec(kind="two_cluster_mixture", n=6, p=5,
+                               separation=4.0, seed=3))
+    write_csv(tmp_path / "data.csv", data)
+    argv = [command, "--p-grid", "10,100", "--replicates", "1", "--sweeps", "5",
+            "--burnin", "1", "--input", str(tmp_path / "data.csv"), flag, value,
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_underflowing_c1_exits_3(tmp_path, capsys):
     # c1**2 underflows to 0 in analytic_limits: a numeric error, no traceback
     assert main(["limits", "--p-grid", "10,100", "--c1", "1e-300",

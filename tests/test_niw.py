@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from niwclust.errors import ConstantRow, DomainError, NotPositiveDefinite
+from niwclust.errors import ConstantRow, DomainError
 from niwclust.niw import (
     ClusterView,
     NiwPrior,
@@ -23,16 +23,11 @@ from niwclust.niw import (
 import oracles
 
 
-def random_prior(rng, p, scalar=False):
+def random_prior(rng, p):
     nu0 = p + 0.5 + 6.0 * rng.random()
     kappa0 = float(np.exp(rng.normal()))
     mu0 = rng.standard_normal(p)
-    if scalar:
-        lam0 = float(np.exp(rng.normal()))
-    else:
-        b = rng.standard_normal((p, p))
-        lam0 = b @ b.T + (0.5 + p / 4.0) * np.eye(p)
-    return NiwPrior(mu0, kappa0, nu0, lam0)
+    return NiwPrior(mu0, kappa0, nu0, float(np.exp(rng.normal())))
 
 
 # ------------------------------------------------------ pinned values
@@ -56,9 +51,9 @@ def test_p1_marginal_matches_quadrature():
 
 
 def test_p2_marginal_matches_frozen_quadrature():
-    prior = NiwPrior(np.array(oracles.QUAD_P2_MU0), oracles.QUAD_P2_KAPPA0,
-                     oracles.QUAD_P2_NU0, np.array(oracles.QUAD_P2_LAMBDA0))
-    mine = cluster_log_marginal(ClusterView([oracles.QUAD_P2_Y]), prior)
+    mine = oracles.full_scale_log_marginal(
+        np.array([oracles.QUAD_P2_Y]), np.array(oracles.QUAD_P2_MU0),
+        oracles.QUAD_P2_KAPPA0, oracles.QUAD_P2_NU0, oracles.QUAD_P2_LAMBDA0)
     assert abs(mine - oracles.QUAD_P2_LOG) / abs(oracles.QUAD_P2_LOG) < 1e-6
 
 
@@ -66,7 +61,7 @@ def test_marginal_matches_predictive_chain_small_p():
     rng = np.random.default_rng(7)
     for p in (1, 2, 3):
         for n in (1, 2, 5, 9):
-            prior = random_prior(rng, p, scalar=bool(n % 2))
+            prior = random_prior(rng, p)
             ys = rng.standard_normal((n, p)) + rng.normal(scale=2.0)
             mine = cluster_log_marginal(ClusterView(ys), prior)
             ref = oracles.t_chain_log_marginal(ys, prior.mu0, prior.kappa0,
@@ -95,20 +90,12 @@ def test_primal_and_dual_agree():
     for _ in range(40):
         n = int(rng.integers(1, 13))
         p = int(rng.integers(2, 60))
-        # the dual route factors |I_n + G| and needs Lambda0 = lam * I
-        prior = random_prior(rng, p, scalar=True)
+        prior = random_prior(rng, p)
         ys = rng.standard_normal((n, p)) * (0.3 + rng.random())
         c = ClusterView(ys)
         primal = cluster_log_marginal(c, prior, form="primal")
         dual = cluster_log_marginal(ClusterView(ys), prior, form="dual")
         assert abs(primal - dual) < 1e-8 * max(1.0, abs(primal))
-
-
-def test_dual_rejects_matrix_scale():
-    rng = np.random.default_rng(14)
-    prior = random_prior(rng, 4, scalar=False)
-    with pytest.raises(DomainError):
-        cluster_log_marginal(ClusterView(np.ones((2, 4))), prior, form="dual")
 
 
 def test_auto_form_picks_dual_for_wide_data():
@@ -150,9 +137,20 @@ def test_robust_prior_fields():
     assert prior.kappa0 == pytest.approx(1.5 * 20.0)
     assert prior.nu0 == pytest.approx(1200.0)
     assert prior.lambda0 == pytest.approx(160000.0)
-    assert prior.scalar_lambda0
+    assert isinstance(prior.lambda0, float)
     assert np.all(prior.mu0 == 0.0)
     assert prior.lambda0_log_det == pytest.approx(400 * np.log(160000.0))
+    # every prior is scalar (a 0-d array or np.float64 becomes a float),
+    # so the dual form evaluates for any valid prior, also on narrow data
+    # where "auto" picks the primal form
+    view = ClusterView(np.random.default_rng(15).standard_normal((6, 3)))
+    for other in (robust_prior(3, RobustPriorSpec(1.5, 3.0)),
+                  NiwPrior(np.ones(3), 0.8, 4.5, np.array(2.5)),
+                  NiwPrior(np.zeros(3), 1.0, 5.0, np.float64(0.3))):
+        assert isinstance(other.lambda0, float)
+        dual = cluster_log_marginal(view, other, form="dual")
+        primal = cluster_log_marginal(view, other, form="primal")
+        assert dual == pytest.approx(primal, rel=1e-10)
 
 
 def test_robust_prior_spec_validation():
@@ -175,22 +173,20 @@ def test_prior_validation():
         NiwPrior(np.zeros(3), 1.0, 1.5, 1.0)  # nu0 <= p-1
     with pytest.raises(DomainError):
         NiwPrior(np.zeros(3), 1.0, 5.0, -2.0)
-    with pytest.raises(DomainError):
-        NiwPrior(np.zeros(3), 1.0, 5.0, np.eye(2))
-    with pytest.raises(NotPositiveDefinite):
-        NiwPrior(np.zeros(2), 1.0, 5.0, np.array([[1.0, 3.0], [3.0, 1.0]]))
+
+
+def test_matrix_scale_is_rejected():
+    # Lambda0 is always lambda0 * I; a matrix or a vector is an error
+    for lam in (np.eye(3), np.ones(3)):
+        with pytest.raises(DomainError, match=r"lambda0 .*got shape \(3,"):
+            NiwPrior(np.zeros(3), 1.0, 5.0, lam)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_prior_is_rejected_by_name(bad):
-    # caught at construction, not later as an asymmetric matrix or a
-    # Gram overflow of some data row
+    # caught at construction, not later as a Gram overflow of some data row
     with pytest.raises(DomainError, match=r"mu0\[1\] is .*mu0 must be finite"):
         NiwPrior(np.array([0.0, bad]), 1.0, 5.0, 1.0)
-    lam = np.eye(2)
-    lam[1, 0] = bad
-    with pytest.raises(DomainError, match=r"lambda0\[1, 0\] is .*must be finite"):
-        NiwPrior(np.zeros(2), 1.0, 5.0, lam)
     if bad > 0:
         with pytest.raises(DomainError, match="lambda0 must be positive and finite"):
             NiwPrior(np.zeros(2), 1.0, 5.0, bad)
@@ -200,37 +196,24 @@ def test_non_finite_prior_is_rejected_by_name(bad):
         NiwPrior(np.zeros(2), 1.0, bad, 1.0)
 
 
-def test_scalar_and_matrix_lambda0_agree():
-    rng = np.random.default_rng(11)
-    ys = rng.standard_normal((4, 6))
-    a = NiwPrior(np.zeros(6), 1.2, 9.0, 2.5)
-    b = NiwPrior(np.zeros(6), 1.2, 9.0, 2.5 * np.eye(6))
-    va = cluster_log_marginal(ClusterView(ys), a)
-    vb = cluster_log_marginal(ClusterView(ys), b)
-    assert va == pytest.approx(vb, rel=1e-12)
-    assert np.allclose(transform_data(ys, a), transform_data(ys, b))
-
-
 def test_transform_data_whitens():
     rng = np.random.default_rng(12)
     p = 5
-    prior = random_prior(rng, p, scalar=False)
+    prior = random_prior(rng, p)
     ys = rng.standard_normal((7, p))
     yt = transform_data(ys, prior)
-    lam = np.asarray(prior.lambda0)
-    # undo: yt @ lam^{1/2} + mu0 recovers the rows
-    w, v = np.linalg.eigh(lam)
-    sqrt = (v * np.sqrt(w)) @ v.T
-    assert np.allclose(yt @ sqrt + prior.mu0, ys, rtol=1e-9, atol=1e-9)
+    # undo: yt * sqrt(lambda0) + mu0 recovers the rows
+    assert np.allclose(yt * np.sqrt(prior.lambda0) + prior.mu0, ys,
+                       rtol=1e-9, atol=1e-9)
 
 
-@pytest.mark.parametrize("scalar", [True, False])
+# one case; the id [True] is kept from when a full-Lambda0 case ran too
+@pytest.mark.parametrize("scalar", [True])
 def test_transform_data_rows_match_full_transform_bitwise(scalar):
-    # non-contiguous, out of order, with a repeat; the full-Lambda0 case
-    # is wide enough for the matrix product to block its rows
+    # non-contiguous, out of order, with a repeat
     rng = np.random.default_rng(14)
     p = 17
-    prior = random_prior(rng, p, scalar=scalar)
+    prior = random_prior(rng, p)
     ys = rng.standard_normal((30, p)) * 3.0
     before = ys.copy()
     for rows in (np.array([29, 0, 7, 3, 7, 12]), np.arange(1, 30, 4), np.arange(30)):

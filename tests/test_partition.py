@@ -52,6 +52,9 @@ def test_crp_prior_validation():
         CrpPrior(0.0)
     with pytest.raises(DomainError):
         CrpPrior(-1.5)
+    for alpha in (np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="alpha must be positive and finite"):
+            CrpPrior(alpha)
 
 
 def test_eppf_ratio_matches_full_eppf_difference():
