@@ -185,7 +185,7 @@ def _medians_by_p(table: CsvTable, value_col: str):
 
 def _median_ari(summary: PosteriorSummary, truth: Partition) -> float:
     """Median ARI against truth over the kept post-burnin sweeps."""
-    aris = [adjusted_rand_index(Partition(lab), truth) for lab in summary.label_trace]
+    aris = [adjusted_rand_index(lab, truth) for lab in summary.label_trace]
     return float(np.median(aris))
 
 

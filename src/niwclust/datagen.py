@@ -40,8 +40,10 @@ class GenSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         if self.n < 2 or self.p < 2:
             raise InvalidSpec(f"need n >= 2 and p >= 2, got n={self.n}, p={self.p}")
-        if self.separation < 0:
-            raise InvalidSpec(f"separation must be >= 0, got {self.separation}")
+        if not 0 <= self.separation < np.inf:
+            raise InvalidSpec(
+                f"separation must be finite and >= 0, got {self.separation}"
+            )
 
 
 def generate(spec: GenSpec):

@@ -21,29 +21,26 @@ class CsvTable(NamedTuple):
     names: Optional[tuple]
 
 
-def _format(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(path, values, names: Optional[Sequence[str]] = None, metadata: Optional[str] = None) -> None:
     """Write a numeric table, optionally with column names and metadata.
 
     metadata, when given, becomes a single leading comment line
-    ('# ...') that read_csv skips.
+    ('# ...') that read_csv skips.  names are joined with commas as
+    given, unquoted.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    width = values.shape[1]
+    template = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", newline="") as fh:
         if metadata is not None:
             fh.write(f"# {metadata}\n")
-        writer = csv.writer(fh, lineterminator="\n")
         if names is not None:
-            if len(names) != values.shape[1]:
-                raise ValueError(
-                    f"{len(names)} names for {values.shape[1]} columns"
-                )
-            writer.writerow(names)
+            if len(names) != width:
+                raise ValueError(f"{len(names)} names for {width} columns")
+            fh.write(",".join(names) + "\n")
+        # a row at a time, so the table is never held as Python floats
         for row in values:
-            writer.writerow([_format(v) for v in row])
+            fh.write(template % tuple(row.tolist()))
 
 
 def read_csv(path) -> CsvTable:

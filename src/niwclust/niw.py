@@ -39,7 +39,6 @@ __all__ = [
     "spd_log_det",
     "NiwPrior",
     "RobustPriorSpec",
-    "ClusterView",
     "GramFactor",
     "robust_prior",
     "check_finite",
@@ -279,54 +278,6 @@ def check_finite(y: NDArray[np.float64]) -> None:
         )
 
 
-class ClusterView:
-    """One cluster's observations with lazily cached summaries.
-
-    Parameters
-    ----------
-    rows : (n, p) array_like
-        The cluster's observations, one per row.  An empty cluster is
-        an array of shape (0, p).  Every cell must be finite.
-
-    The mean and the centered scatter (p x p) are each computed on
-    first use and cached; only the primal marginal form reads the
-    scatter.
-    """
-
-    def __init__(self, rows):
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.ndim != 2:
-            raise ValueError(f"rows must be 2-d, got shape {rows.shape}")
-        if rows.shape[1] < 1:
-            raise ValueError("rows must have at least one column")
-        check_finite(rows)
-        self.rows = rows
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.rows.shape[1]
-
-    @cached_property
-    def mean(self) -> NDArray[np.float64]:
-        if self.n == 0:
-            return np.zeros(self.p)
-        return self.rows.mean(axis=0)
-
-    @cached_property
-    def scatter(self) -> NDArray[np.float64]:
-        """Centered scatter S = sum (y - ybar)(y - ybar)^T, p x p PSD."""
-        if self.n == 0:
-            return np.zeros((self.p, self.p))
-        centered = self.rows - self.mean
-        return centered.T @ centered
-
-
 def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     """Apply ytilde_i = (y_i - mu0) / sqrt(lambda0) row-wise.
 
@@ -488,12 +439,14 @@ def dual_log_marginal(consts, prior: NiwPrior, n: int, log_det, s):
     )
 
 
-def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") -> float:
+def cluster_log_marginal(rows, prior: NiwPrior, form: str = "auto") -> float:
     """Log marginal likelihood of a cluster under the NIW prior.
 
     Parameters
     ----------
-    c : ClusterView
+    rows : (n, p) array_like
+        The cluster's observations, one per row; a 1-d array is one
+        observation.  An empty cluster is an array of shape (0, p).
     prior : NiwPrior
     form : {"auto", "primal", "dual"}
         "primal" factorizes the p x p posterior scale matrix, "dual"
@@ -509,27 +462,41 @@ def cluster_log_marginal(c: ClusterView, prior: NiwPrior, form: str = "auto") ->
 
     Raises
     ------
+    ValueError
+        If rows is not 2-d after a 1-d array is taken as one row, has
+        no column, or does not match the prior's width.
     NotPositiveDefinite
         If the inner p x p matrix is numerically singular.
     DomainError
-        If nu0 < p (see :func:`check_nu0`) or if the Gram matrix of the
+        If some cell is not finite (see :func:`check_finite`), if
+        nu0 < p (see :func:`check_nu0`) or if the Gram matrix of the
         dual form overflows.
     """
-    if c.n == 0:
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be 2-d, got shape {rows.shape}")
+    if rows.shape[1] < 1:
+        raise ValueError("rows must have at least one column")
+    check_finite(rows)
+    n, p = rows.shape
+    if n == 0:
         return 0.0
-    if c.p != prior.p:
-        raise ValueError(f"cluster width {c.p} does not match prior p={prior.p}")
+    if p != prior.p:
+        raise ValueError(f"cluster width {p} does not match prior p={prior.p}")
     if form not in ("auto", "primal", "dual"):
         raise ValueError(f"unknown form {form!r}")
-    n = c.n
-    dual = form == "dual" or (form == "auto" and c.p > _DUAL_RATIO * n)
+    dual = form == "dual" or (form == "auto" and p > _DUAL_RATIO * n)
     consts = size_constants(prior, n)
     if dual:
-        f = factor_gram(gram_matrix(transform_data(c.rows, prior)))
+        f = factor_gram(gram_matrix(transform_data(rows, prior)))
         return float(dual_log_marginal(consts, prior, n, f.log_det, f.z @ f.z))
 
-    d = c.mean - prior.mu0
-    inner = prior.lambda0 * np.eye(c.p) + c.scatter
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    d = mean - prior.mu0
+    inner = prior.lambda0 * np.eye(p) + centered.T @ centered
     inner += (n * prior.kappa0 / (n + prior.kappa0)) * np.outer(d, d)
     log_det_inner = spd_log_det(inner)
     return float(

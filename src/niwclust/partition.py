@@ -106,15 +106,18 @@ def eppf_log_ratio(part: Partition, h1: int, h2: int, prior: CrpPrior) -> float:
 def adjusted_rand_index(a, b) -> float:
     """Chance-corrected agreement between two partitions of the same items.
 
-    Accepts Partition values or plain label sequences.  Returns 1.0 for
+    Accepts Partition values or plain label sequences; the index only
+    counts pairs, so raw labels need no canonical form.  Returns 1.0 for
     identical partitions (including the all-one-cluster edge case where
     the correction denominator vanishes).
     """
-    la = a.labels if isinstance(a, Partition) else tuple(Partition(a).labels)
-    lb = b.labels if isinstance(b, Partition) else tuple(Partition(b).labels)
+    la = a.labels if isinstance(a, Partition) else tuple(a)
+    lb = b.labels if isinstance(b, Partition) else tuple(b)
     if len(la) != len(lb):
         raise ValueError("partitions cover different numbers of items")
     n = len(la)
+    if n == 0:
+        raise ValueError("partitions need at least one item")
     contingency = {}
     for x, y in zip(la, lb):
         contingency[(x, y)] = contingency.get((x, y), 0) + 1

@@ -40,7 +40,6 @@ import numpy as np
 
 from .errors import InvalidConfig, NotPositiveDefinite
 from .niw import (
-    ClusterView,
     NiwPrior,
     cluster_log_marginal,
     dual_log_marginal,
@@ -359,9 +358,9 @@ class SamplerState:
             rebuilt.setdefault(lab, []).append(i)
         if {k: tuple(v) for k, v in rebuilt.items()} != self.clusters:
             raise AssertionError("clusters inconsistent with labels")
+        data = np.asarray(data, dtype=float)
         for lab, idx in self.clusters.items():
-            view = ClusterView(np.asarray(data, dtype=float)[list(idx)])
-            direct = cluster_log_marginal(view, self.prior)
+            direct = cluster_log_marginal(data[list(idx)], self.prior)
             cached = self.log_ml[lab]
             if abs(direct - cached) > tol * max(1.0, abs(direct)):
                 raise AssertionError(

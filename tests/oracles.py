@@ -17,7 +17,7 @@ from scipy.special import gammaln, logsumexp
 from scipy.stats import multivariate_t
 
 from niwclust.errors import DomainError, SameLabel
-from niwclust.niw import ClusterView, NiwPrior, cluster_log_marginal
+from niwclust.niw import NiwPrior, cluster_log_marginal
 from niwclust.partition import Partition
 
 mpmath.mp.dps = 50
@@ -144,7 +144,7 @@ def full_scale_log_marginal(ys, mu0, kappa0: float, nu0: float, lam0) -> float:
     z = np.linalg.solve(lower, (ys - mu0).T).T
     prior = NiwPrior(np.zeros(ys.shape[1]), kappa0, nu0, 1.0)
     log_det = 2.0 * float(np.log(np.diag(lower)).sum())
-    return cluster_log_marginal(ClusterView(z), prior) - ys.shape[0] / 2.0 * log_det
+    return cluster_log_marginal(z, prior) - ys.shape[0] / 2.0 * log_det
 
 
 @st.composite

@@ -17,7 +17,6 @@ from niwclust.datagen import GenSpec, generate
 from niwclust.io import read_csv, write_csv
 from niwclust.niw import (
     LOG_PI,
-    ClusterView,
     NiwPrior,
     RobustPriorSpec,
     cluster_log_marginal,
@@ -45,7 +44,7 @@ def _random_cluster(rng, n_max=20, p_max=200):
     n = int(rng.integers(1, n_max + 1))
     p = int(rng.integers(2, p_max + 1))
     scale = 10.0 ** rng.uniform(-2, 2)
-    return ClusterView(rng.standard_normal((n, p)) * scale), p
+    return rng.standard_normal((n, p)) * scale, p
 
 
 def test_criterion_01_primal_dual_equivalence():
@@ -85,9 +84,9 @@ def test_criterion_02_decomposition_identity():
         part = Partition([1] * n1 + [2] * n2)
         br = merge_log_ratio(data, part, 1, 2, prior, crp)
         direct = (
-            cluster_log_marginal(ClusterView(data[:n1]), prior)
-            + cluster_log_marginal(ClusterView(data[n1:]), prior)
-            - cluster_log_marginal(ClusterView(data), prior)
+            cluster_log_marginal(data[:n1], prior)
+            + cluster_log_marginal(data[n1:], prior)
+            - cluster_log_marginal(data, prior)
         )
         worst = max(worst, abs(br.total_likelihood - direct))
     _report(2, worst < 1e-9, f"max |terms - direct| = {worst:.3g} over 200 draws")
@@ -96,7 +95,7 @@ def test_criterion_02_decomposition_identity():
 def test_criterion_03_marginal_vs_quadrature():
     # pinned scalar instance: closed Student-t form at nu=3, scale^2=2/3
     prior1 = NiwPrior(np.zeros(1), 1.0, 3.0, 1.0)
-    mine = cluster_log_marginal(ClusterView(np.zeros((1, 1))), prior1)
+    mine = cluster_log_marginal(np.zeros((1, 1)), prior1)
     exact = math.lgamma(2.0) - math.lgamma(1.5) - 0.5 * math.log(3.0 * math.pi * (2.0 / 3.0))
     # full value -0.7981562956; the 5-digit display truncates, so match
     # the closed form at 1e-9 and the display at its own precision
@@ -107,7 +106,7 @@ def test_criterion_03_marginal_vs_quadrature():
     ys = (0.3, -1.1)
     quad = oracles.niw_marginal_quad_p1(ys, mu0=0.2, kappa0=1.5, nu0=4.0, lam0=2.0)
     prior = NiwPrior(np.array([0.2]), 1.5, 4.0, 2.0)
-    mine1 = cluster_log_marginal(ClusterView(np.array(ys)[:, None]), prior)
+    mine1 = cluster_log_marginal(np.array(ys)[:, None], prior)
     rel1 = abs(mine1 - quad) / abs(quad)
     ok = ok and rel1 < 1e-6
     details.append(f"p1 rel {rel1:.2g}")
@@ -227,7 +226,7 @@ def test_criterion_08_sampler_exactness():
     alpha = 1.0
 
     def log_ml(rows):
-        return cluster_log_marginal(ClusterView(rows), prior)
+        return cluster_log_marginal(rows, prior)
 
     exact = oracles.exact_partition_posterior(data, log_ml, alpha)
     assert len(exact) == 52  # Bell(5)

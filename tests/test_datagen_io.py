@@ -61,6 +61,13 @@ def test_spec_validation():
         GenSpec(kind="k_cluster_mixture", n=4, p=4)
 
 
+@pytest.mark.parametrize("kind", ["single_gaussian", "two_cluster_mixture"])
+@pytest.mark.parametrize("separation", [np.nan, np.inf, -np.inf])
+def test_non_finite_separation_rejected(kind, separation):
+    with pytest.raises(InvalidSpec, match="separation"):
+        GenSpec(kind=kind, n=4, p=4, separation=separation)
+
+
 def test_read_plain_numeric_csv(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1,2\n3,4\n")
@@ -112,6 +119,17 @@ def test_empty_file_rejected(tmp_path):
     path.write_text("# only metadata\n\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def test_cells_are_written_as_17_significant_digits(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)  # smallest subnormal
+    row = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 0.1, -1e300]
+    path = tmp_path / "special.csv"
+    write_csv(path, [row, row[::-1]], names=[f"c{j}" for j in range(len(row))])
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(f"c{j}" for j in range(len(row)))
+    for line, cells in zip(lines[1:], [row, row[::-1]]):
+        assert line == ",".join(format(float(v), ".17g") for v in cells)
 
 
 def test_name_count_must_match_columns(tmp_path):

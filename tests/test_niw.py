@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 
 from niwclust.errors import ConstantRow, DomainError
 from niwclust.niw import (
-    ClusterView,
     NiwPrior,
     RobustPriorSpec,
     cluster_log_marginal,
@@ -35,7 +34,7 @@ def random_prior(rng, p):
 def test_single_point_matches_student_t_closed_form():
     # df nu0-p+1 = 3, scale^2 = 2/3, evaluated at the prior mean
     prior = NiwPrior(np.zeros(1), 1.0, 3.0, 1.0)
-    mine = cluster_log_marginal(ClusterView([[0.0]]), prior)
+    mine = cluster_log_marginal([[0.0]], prior)
     scale2 = 2.0 / 3.0
     exact = lgamma(2.0) - lgamma(1.5) - 0.5 * log(3.0 * pi * scale2)
     assert abs(mine - exact) < 1e-12
@@ -45,7 +44,7 @@ def test_single_point_matches_student_t_closed_form():
 def test_p1_marginal_matches_quadrature():
     prior = NiwPrior(np.full(1, 0.2), 2.0, 4.5, 1.7)
     ys = [[0.3], [-1.1]]
-    mine = cluster_log_marginal(ClusterView(ys), prior)
+    mine = cluster_log_marginal(ys, prior)
     ref = oracles.niw_marginal_quad_p1([0.3, -1.1], 0.2, 2.0, 4.5, 1.7)
     assert abs(mine - ref) / abs(ref) < 1e-6
 
@@ -63,7 +62,7 @@ def test_marginal_matches_predictive_chain_small_p():
         for n in (1, 2, 5, 9):
             prior = random_prior(rng, p)
             ys = rng.standard_normal((n, p)) + rng.normal(scale=2.0)
-            mine = cluster_log_marginal(ClusterView(ys), prior)
+            mine = cluster_log_marginal(ys, prior)
             ref = oracles.t_chain_log_marginal(ys, prior.mu0, prior.kappa0,
                                                prior.nu0, prior.lambda0)
             assert abs(mine - ref) / max(1.0, abs(ref)) < 1e-9, (p, n)
@@ -79,7 +78,7 @@ def test_both_forms_match_predictive_chain(case):
     prior = NiwPrior(*args)
     ref = oracles.t_chain_log_marginal(ys, *args)
     for form in ("primal", "dual"):
-        mine = cluster_log_marginal(ClusterView(ys), prior, form=form)
+        mine = cluster_log_marginal(ys, prior, form=form)
         assert abs(mine - ref) / max(1.0, abs(ref)) < 1e-9, form
 
 
@@ -92,9 +91,8 @@ def test_primal_and_dual_agree():
         p = int(rng.integers(2, 60))
         prior = random_prior(rng, p)
         ys = rng.standard_normal((n, p)) * (0.3 + rng.random())
-        c = ClusterView(ys)
-        primal = cluster_log_marginal(c, prior, form="primal")
-        dual = cluster_log_marginal(ClusterView(ys), prior, form="dual")
+        primal = cluster_log_marginal(ys, prior, form="primal")
+        dual = cluster_log_marginal(ys, prior, form="dual")
         assert abs(primal - dual) < 1e-8 * max(1.0, abs(primal))
 
 
@@ -102,8 +100,8 @@ def test_auto_form_picks_dual_for_wide_data():
     rng = np.random.default_rng(9)
     ys = rng.standard_normal((3, 500))
     prior = robust_prior(500, RobustPriorSpec(1.0, 2.0))
-    auto = cluster_log_marginal(ClusterView(ys), prior)
-    dual = cluster_log_marginal(ClusterView(ys), prior, form="dual")
+    auto = cluster_log_marginal(ys, prior)
+    dual = cluster_log_marginal(ys, prior, form="dual")
     assert auto == dual
 
 
@@ -112,14 +110,14 @@ def test_dual_is_fast_and_finite_at_p_10000():
     ys = row_standardize(rng.standard_normal((2, 10 ** 4)))
     prior = robust_prior(10 ** 4, RobustPriorSpec(1.0, 2.0))
     t0 = time.time()
-    val = cluster_log_marginal(ClusterView(ys), prior, form="dual")
+    val = cluster_log_marginal(ys, prior, form="dual")
     assert time.time() - t0 < 0.1
     assert np.isfinite(val)
 
 
 def test_empty_cluster_marginal_is_zero():
     prior = NiwPrior(np.zeros(3), 1.0, 5.0, 1.0)
-    empty = ClusterView(np.empty((0, 3)))
+    empty = np.empty((0, 3))
     assert cluster_log_marginal(empty, prior) == 0.0
     assert cluster_log_marginal(empty, prior, form="dual") == 0.0
 
@@ -127,7 +125,24 @@ def test_empty_cluster_marginal_is_zero():
 def test_unknown_form_rejected():
     prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
     with pytest.raises(ValueError):
-        cluster_log_marginal(ClusterView([[0.0, 1.0]]), prior, form="banana")
+        cluster_log_marginal([[0.0, 1.0]], prior, form="banana")
+
+
+def test_rows_must_be_2d_with_a_column():
+    prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
+    with pytest.raises(ValueError, match="2-d"):
+        cluster_log_marginal(np.zeros((2, 2, 2)), prior)
+    with pytest.raises(ValueError, match="column"):
+        cluster_log_marginal(np.zeros((3, 0)), prior)
+
+
+@pytest.mark.parametrize("form", ["primal", "dual"])
+def test_vector_is_one_observation(form):
+    rng = np.random.default_rng(16)
+    prior = random_prior(rng, 4)
+    y = rng.standard_normal(4)
+    one = cluster_log_marginal(y, prior, form=form)
+    assert one == cluster_log_marginal(y[None, :], prior, form=form)
 
 
 # ------------------------------------------------------------ priors
@@ -143,7 +158,7 @@ def test_robust_prior_fields():
     # every prior is scalar (a 0-d array or np.float64 becomes a float),
     # so the dual form evaluates for any valid prior, also on narrow data
     # where "auto" picks the primal form
-    view = ClusterView(np.random.default_rng(15).standard_normal((6, 3)))
+    view = np.random.default_rng(15).standard_normal((6, 3))
     for other in (robust_prior(3, RobustPriorSpec(1.5, 3.0)),
                   NiwPrior(np.ones(3), 0.8, 4.5, np.array(2.5)),
                   NiwPrior(np.zeros(3), 1.0, 5.0, np.float64(0.3))):

@@ -110,6 +110,19 @@ def test_ari_length_mismatch():
         adjusted_rand_index([1, 2], [1, 2, 3])
 
 
+def test_ari_empty_input_rejected():
+    with pytest.raises(ValueError):
+        adjusted_rand_index([], [])
+
+
+def test_ari_raw_labels_equal_canonical_bitwise():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        a = rng.integers(0, 5, size=12).tolist()
+        b = (rng.integers(0, 4, size=12) * 7 + 3).tolist()
+        assert adjusted_rand_index(a, b) == adjusted_rand_index(Partition(a), Partition(b))
+
+
 @given(st.lists(st.integers(0, 3), min_size=2, max_size=12),
        st.integers(0, 10 ** 6))
 @settings(max_examples=120, deadline=None)

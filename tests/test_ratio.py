@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from niwclust.errors import DomainError
 from niwclust.niw import (
-    ClusterView,
     NiwPrior,
     RobustPriorSpec,
     cluster_log_marginal,
@@ -51,9 +50,9 @@ def test_breakdown_terms_sum_to_direct_marginal_difference():
         br = merge_log_ratio(data, part, 1, 2, prior, crp)
 
         direct = (
-            cluster_log_marginal(ClusterView(data[:n1]), prior)
-            + cluster_log_marginal(ClusterView(data[n1:]), prior)
-            - cluster_log_marginal(ClusterView(data), prior)
+            cluster_log_marginal(data[:n1], prior)
+            + cluster_log_marginal(data[n1:], prior)
+            - cluster_log_marginal(data, prior)
         )
         four = br.term_gamma + br.term_kappa + br.term_det_kappa + br.term_det_gram
         assert br.total_likelihood == pytest.approx(four, abs=1e-12)
@@ -288,7 +287,7 @@ def test_merge_ratio_on_interleaved_three_cluster_partition(h1, h2):
         br = merge_log_ratio(data, part, h1, h2, prior, CrpPrior(1.0))
 
         def lm(rows):
-            return cluster_log_marginal(ClusterView(data[rows]), prior)
+            return cluster_log_marginal(data[rows], prior)
 
         direct = lm(lab == h1) + lm(lab == h2) - lm((lab == h1) | (lab == h2))
         assert abs(br.total_likelihood - direct) <= 1e-10 * max(1.0, abs(direct))

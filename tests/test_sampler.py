@@ -9,7 +9,6 @@ from niwclust import sampler
 from niwclust.datagen import GenSpec, generate
 from niwclust.errors import DomainError, InvalidConfig
 from niwclust.niw import (
-    ClusterView,
     NiwPrior,
     RobustPriorSpec,
     cluster_log_marginal,
@@ -29,7 +28,7 @@ def test_chain_recovers_exact_posterior_on_four_points():
     alpha = 0.8
 
     def log_ml(rows):
-        return cluster_log_marginal(ClusterView(rows), prior)
+        return cluster_log_marginal(rows, prior)
 
     exact = oracles.exact_partition_posterior(data, log_ml, alpha)
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-10)
@@ -62,7 +61,7 @@ def test_exact_posterior_on_gate9_data_is_one_cluster():
                                    separation=20.0, seed=seed))
         for tag, prior in priors.items():
             exact = oracles.exact_partition_posterior(
-                data, lambda rows: cluster_log_marginal(ClusterView(rows), prior),
+                data, lambda rows: cluster_log_marginal(rows, prior),
                 1.0)
             if ks is None:  # every call lists the partitions in one order
                 ks = np.array([max(labels) for labels in exact])
@@ -124,7 +123,7 @@ def test_sampler_needs_nu0_at_least_p():
     data = np.random.default_rng(2).standard_normal((5, p))
     for form in ("primal", "dual"):
         with pytest.raises(DomainError, match="marginals need nu0 >= p"):
-            cluster_log_marginal(ClusterView(data), prior, form=form)
+            cluster_log_marginal(data, prior, form=form)
     with pytest.raises(DomainError, match="marginals need nu0 >= p"):
         init_state(data, prior, CrpPrior(1.0), 0)
     with pytest.raises(DomainError, match="marginals need nu0 >= p"):
@@ -187,7 +186,7 @@ def _mixing_problem(n=40, p=3, seed=7):
 
 
 def _direct(data, prior, idx):
-    return cluster_log_marginal(ClusterView(data[list(idx)]), prior)
+    return cluster_log_marginal(data[list(idx)], prior)
 
 
 def _exact_codes(monkeypatch):
@@ -384,8 +383,8 @@ def test_non_finite_data_is_rejected_with_its_position(bad):
     for evaluate in (
         lambda: init_state(data, prior, CrpPrior(1.0), 0),
         lambda: run_chain(data, prior, CrpPrior(1.0), sweeps=2, burnin=0, seed=0),
-        lambda: cluster_log_marginal(ClusterView(data), prior, form="primal"),
-        lambda: cluster_log_marginal(ClusterView(data), prior, form="dual"),
+        lambda: cluster_log_marginal(data, prior, form="primal"),
+        lambda: cluster_log_marginal(data, prior, form="dual"),
         lambda: merge_log_ratio(data, part, 1, 2, prior, CrpPrior(1.0)),
         lambda: projector_residual(data),
     ):
@@ -400,7 +399,7 @@ def test_data_overflowing_the_gram_matrix_is_rejected():
     calls = (
         lambda: init_state(data, prior, crp, 0),
         lambda: run_chain(data, prior, crp, sweeps=2, burnin=0, seed=0),
-        lambda: cluster_log_marginal(ClusterView(data), prior, form="dual"),
+        lambda: cluster_log_marginal(data, prior, form="dual"),
         lambda: merge_log_ratio(data, Partition([1, 1, 1, 2, 2, 2]), 1, 2, prior, crp),
         lambda: projector_residual(data),
     )
