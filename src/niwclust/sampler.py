@@ -28,9 +28,10 @@ References
    playing", Technical Report 88, University of Wisconsin, 1970.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import accumulate
 from math import exp, inf, isfinite, log
 from operator import xor
 from random import Random
@@ -59,12 +60,11 @@ __all__ = [
     "run_chain",
 ]
 
-# The memo holds member sets of at most this many points in total,
-# whatever the cluster sizes.  The worst case is all pairs: 2^21 entries
-# of a 128-bit int key and a float, about 216 MB (108 bytes an entry
-# under tracemalloc).  A 200-sweep chain at n = 400, p = 300 peaks at
-# about 0.4 M points in 81k entries and never clears.
-_MEMO_BUDGET = 1 << 22
+# The memo holds at most this many entries: 2^21 of a 128-bit int key and
+# a float take about 216 MB (108 bytes an entry under tracemalloc).  A
+# chain's working set is a few entries a point (81k at n = 400, p = 300;
+# 1.3M at n = 2,600, p = 200), so neither clears after its first sweep.
+_MEMO_BUDGET = 1 << 21
 
 # Seed of the per-point memo codes.  They have their own generator, so the
 # chain's draws do not depend on them.
@@ -164,7 +164,9 @@ class _ChainCache:
     A memo answers repeated evaluations.  It is keyed by ``code(idx)``,
     the XOR of the members' ``codes``, so the key of a cluster with a
     point added or removed is one XOR away and a memo hit costs O(1)
-    whatever the cluster size.  Only misses read the factors.
+    whatever the cluster size.  Only misses read the factors.  It holds a
+    few entries a point and is cleared when a store would take it past
+    ``_MEMO_BUDGET`` entries.
 
     ``move`` updates the factors of both clusters as soon as a point
     changes cluster.  A chain whose points kept moving while the memo
@@ -179,7 +181,6 @@ class _ChainCache:
 
     def __init__(self, data: np.ndarray, prior: NiwPrior):
         self.data = data
-        self.prior = prior
         self.gram = gram_matrix(transform_data(data, prior))
         # log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1
         self._value = partial(
@@ -191,19 +192,16 @@ class _ChainCache:
         self.codes = _point_codes(data.shape[0])
         self.factors: dict = {}
         self._memo: dict = {}
-        self._memo_size = 0
 
     def code(self, idx) -> int:
         """Memo key of the member set idx."""
         return reduce(xor, map(self.codes.__getitem__, idx), 0)
 
-    def _remember(self, keys: list, values: list, size: int) -> None:
-        """Store values under keys; size is their member sets' total size."""
-        if self._memo_size + size > _MEMO_BUDGET:
+    def _remember(self, keys: list, values: list) -> None:
+        """Store values under keys, first clearing a memo they would overfill."""
+        if len(self._memo) + len(keys) > _MEMO_BUDGET:
             self._memo.clear()
-            self._memo_size = 0
         self._memo.update(zip(keys, values))
-        self._memo_size += size
 
     # ---------------------------------------------------------- factors
 
@@ -260,7 +258,7 @@ class _ChainCache:
         value = self._memo.get(key)
         if value is None:
             value = self._factor_value(idx)
-            self._remember([key], [value], len(idx))
+            self._remember([key], [value])
         return value
 
     def _factor_value(self, idx: tuple) -> float:
@@ -280,7 +278,7 @@ class _ChainCache:
                     f"Schur complement {out.schur} in a cluster of {len(idx)}"
                 )
         value = float(self._value(size, *out.totals()))
-        self._remember([key], [value], size)
+        self._remember([key], [value])
         return value
 
     def removed(self, members: tuple, i: int, key: int) -> float:
@@ -313,7 +311,7 @@ class _ChainCache:
                     keys.append(key)
                 elif lab == home:
                     value = self._factor_value(idx)
-                    self._remember([key], [value], len(idx))
+                    self._remember([key], [value])
                 else:
                     value = self._changed(idx, self._border, i, key, len(idx) + 1)
             values.append(value)
@@ -326,7 +324,7 @@ class _ChainCache:
             scored = self._value(2, np.log(det), (a + c - 2.0 * g) / det).tolist()
             for k, value in zip(at, scored):
                 values[k] = value
-            self._remember(keys, scored, 2 * len(at))
+            self._remember(keys, scored)
         return values
 
 
@@ -483,15 +481,8 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                 )
 
             top = max(log_w)
-            probs = [exp(w - top) for w in log_w]
-            u = state.rng.random() * sum(probs)
-            acc = 0.0
-            pick = len(candidates)
-            for j, pr in enumerate(probs):
-                acc += pr
-                if u < acc:
-                    pick = j
-                    break
+            cum = list(accumulate(exp(w - top) for w in log_w))
+            pick = min(bisect_right(cum, state.rng.random() * cum[-1]), len(candidates))
             if pick < len(candidates):
                 lab = candidates[pick]
                 value = values[pick]

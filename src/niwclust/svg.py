@@ -141,49 +141,42 @@ def line_plot(
             f"{_escape(ylabel)}</text>"
         )
 
+    lx = _MARGIN_L + plot_w + 12
     legend_y = _MARGIN_T + 8
+
+    def legend(lab: str, stroke: str) -> None:
+        nonlocal legend_y
+        out.append(
+            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
+            f"{stroke}/>"
+        )
+        out.append(
+            f'<text x="{lx + 28}" y="{legend_y + 4}">{_escape(lab)}</text>'
+        )
+        legend_y += 18
+
+    dashed = 'stroke="#777" stroke-dasharray="6 4"'
     for _lab, y in hlines:
         gy = py(y)
         out.append(
             f'<line x1="{_MARGIN_L}" y1="{_fmt(gy)}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{_fmt(gy)}" stroke="#777" stroke-dasharray="6 4"/>'
+            f'y2="{_fmt(gy)}" {dashed}/>'
         )
     for idx, (lab, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = " ".join(
-            f"{_fmt(px(x))},{_fmt(py(y))}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(y)
-        )
+        pts = [
+            (_fmt(px(x)), _fmt(py(y))) for x, y in zip(xs, ys) if math.isfinite(y)
+        ]
+        line = " ".join(f"{gx},{gy}" for gx, gy in pts)
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'<polyline points="{line}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"/>'
         )
-        for x, y in zip(xs, ys):
-            if math.isfinite(y):
-                out.append(
-                    f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.6" '
-                    f'fill="{color}"/>'
-                )
-        lx = _MARGIN_L + plot_w + 12
-        out.append(
-            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{legend_y + 4}">{_escape(lab)}</text>'
-        )
-        legend_y += 18
-    for lab, y in hlines:
-        lx = _MARGIN_L + plot_w + 12
-        out.append(
-            f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 22}" y2="{legend_y}" '
-            f'stroke="#777" stroke-dasharray="6 4"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{legend_y + 4}">{_escape(lab)}</text>'
-        )
-        legend_y += 18
+        for gx, gy in pts:
+            out.append(f'<circle cx="{gx}" cy="{gy}" r="2.6" fill="{color}"/>')
+        legend(lab, f'stroke="{color}" stroke-width="1.8"')
+    for lab, _y in hlines:
+        legend(lab, dashed)
 
     out.append("</g>")
     out.append("</svg>")

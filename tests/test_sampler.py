@@ -212,9 +212,10 @@ def _assert_matches_build(chain, idx, f, rel):
 
 def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     data, prior = _mixing_problem()
-    # a memo too small to answer anything sends every evaluation
-    # through the incrementally updated factors
-    monkeypatch.setattr(sampler, "_MEMO_BUDGET", data.shape[0])
+    # a memo of three entries answers almost nothing (23 of 144k lookups
+    # here), which sends nearly every evaluation through the incrementally
+    # updated factors
+    monkeypatch.setattr(sampler, "_MEMO_BUDGET", 3)
     _exact_codes(monkeypatch)
     counts = {"append": 0, "delete": 0}
 
@@ -274,10 +275,10 @@ def test_memo_stays_within_index_budget(monkeypatch):
     chain = state.chain
     remember = chain._remember
 
-    def checked(keys, values, size):
-        assert size == sum(len(_members(k)) for k in keys)
-        remember(keys, values, size)
-        assert chain._memo_size == sum(len(_members(k)) for k in chain._memo) <= 40
+    def checked(keys, values):
+        assert len(keys) <= 40
+        remember(keys, values)
+        assert len(chain._memo) <= 40
 
     monkeypatch.setattr(chain, "_remember", checked)
     for _ in range(30):
@@ -286,6 +287,30 @@ def test_memo_stays_within_index_budget(monkeypatch):
         assert set(chain.factors) == {
             idx for idx in state.clusters.values() if len(idx) > 1
         }
+    state.check_consistency(data)
+
+
+def test_steady_chain_keeps_its_memo(monkeypatch):
+    # the memo holds a few entries a point, so a budget of six a point
+    # is cleared only while the first sweep coalesces the singletons
+    spec = GenSpec(kind="two_cluster_mixture", n=60, p=20, separation=10.0, seed=3)
+    data, _ = generate(spec)
+    prior = robust_prior(20, RobustPriorSpec(1.0, 2.0))
+    monkeypatch.setattr(sampler, "_MEMO_BUDGET", 360)
+    clears = [0]
+
+    class Counted(dict):
+        def clear(self):
+            clears[0] += 1
+            super().clear()
+
+    state = init_state(data, prior, CrpPrior(1.0), 1, init="singletons")
+    state.chain._memo = Counted()
+    gibbs_sweep(state, data)
+    clears[0] = 0
+    for _ in range(39):
+        gibbs_sweep(state, data)
+    assert clears[0] == 0
     state.check_consistency(data)
 
 
