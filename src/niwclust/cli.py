@@ -185,8 +185,9 @@ def _medians_by_p(table: CsvTable, value_col: str):
 
 def _median_ari(summary: PosteriorSummary, truth: Partition) -> float:
     """Median ARI against truth over the kept post-burnin sweeps."""
-    aris = [adjusted_rand_index(lab, truth) for lab in summary.label_trace]
-    return float(np.median(aris))
+    trace = summary.label_trace
+    score = {lab: adjusted_rand_index(lab, truth) for lab in set(trace)}
+    return float(np.median([score[lab] for lab in trace]))
 
 
 def _replicate_pool(replicates: int):

@@ -20,6 +20,17 @@ weights.  Its key is the XOR of fixed random codes of the members
 one XOR: a point whose weights all hit the memo costs O(k), and member
 tuples are rebuilt only when a point changes cluster.
 
+A sweep that moves no point leaves the partition and every weight as
+they were, so the next sweep differs only in its uniforms.  Such a sweep
+records, for each point, the interval of its own cluster on its
+cumulative weight scale; the next sweep draws all n uniforms at once and,
+if every point falls inside its interval, it is answered by that one
+vectorised stay test, O(n) numpy work, with no weight evaluated.  This
+is the scalar rule exactly, given the weights of the recorded sweep.  A
+scalar sweep refreshes log_ml from the memo; after a memo clear a value
+can come back an ulp off, which the stay test, keeping the recorded
+value, does not see.
+
 References
 ----------
 .. [1] R. M. Neal, "Markov chain sampling methods for Dirichlet process
@@ -29,6 +40,7 @@ References
 """
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate
@@ -328,13 +340,39 @@ class _ChainCache:
         return values
 
 
+class _Stay(NamedTuple):
+    """What a sweep that moved no point leaves for the stay test.
+
+    Point i stayed because its scaled uniform fell in [lo[i], hi[i]) of
+    the cumulative weights, whose total was tot[i].  The record holds for
+    the chain, CRP prior, labels and log_ml it was taken with.
+    """
+
+    chain: _ChainCache
+    crp: CrpPrior
+    labels: list
+    log_ml: dict
+    lo: np.ndarray
+    hi: np.ndarray
+    tot: np.ndarray
+
+    def answers(self, state, us: np.ndarray) -> bool:
+        """Whether every point of state stays for the uniforms us."""
+        if not (self.chain is state.chain and self.crp is state.crp
+                and self.labels == state.labels and self.log_ml == state.log_ml):
+            return False
+        x = us * self.tot
+        return bool(((self.lo <= x) & (x < self.hi)).all())
+
+
 @dataclass
 class SamplerState:
     """Mutable state of one collapsed Gibbs chain.
 
     labels holds one positive integer per observation (canonical 1..k
     at sweep boundaries), clusters maps each label to its sorted member
-    index tuple, and log_ml caches each cluster's log marginal.
+    index tuple, and log_ml caches each cluster's log marginal.  stay is
+    the stay-test record of the last sweep if it moved no point.
     """
 
     labels: list
@@ -345,6 +383,7 @@ class SamplerState:
     rng: np.random.Generator
     sweep_index: int = 0
     chain: Optional[_ChainCache] = field(default=None, repr=False)
+    stay: Optional[_Stay] = field(default=None, repr=False)
 
     def k(self) -> int:
         return len(self.clusters)
@@ -424,6 +463,15 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     sweep draws what the failed one would have.  Labels are canonical
     on return.
 
+    The sweep draws its n uniforms, one a point, in one call.  If the
+    last sweep moved no point and left a stay record that still matches
+    the state (same chain and CRP prior, equal labels and log_ml), the
+    record's stay test runs first: when every point would stay, the
+    sweep returns with nothing else changed.  Otherwise the scalar scan
+    below runs with the same uniforms.  The stay test keeps log_ml as
+    recorded, where a scan would refresh it from the memo (an ulp apart
+    after a memo clear).
+
     Each cluster's memo code is taken once at sweep entry and then
     updated by one XOR per removal or addition; member tuples are
     rebuilt only for a point that changes cluster.
@@ -433,20 +481,30 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     if chain is None or (chain.data is not data and not np.array_equal(chain.data, data)):
         chain = state.chain = _ChainCache(data, state.prior)
     labels = state.labels
+    n = len(labels)
+    rng_state = state.rng.bit_generator.state
+    draws = state.rng.random(n)
+    if state.stay is not None and state.stay.answers(state, draws):
+        state.sweep_index += 1
+        return state
+    state.stay = None
+    us = draws.tolist()
     clusters = state.clusters
     log_ml = state.log_ml
     alpha = state.crp.alpha
-    n = len(labels)
 
     snapshot = (
         list(labels),
         dict(clusters),
         dict(log_ml),
         dict(chain.factors),
-        state.rng.bit_generator.state,
+        rng_state,
     )
     codes = chain.codes
     code = {lab: chain.code(idx) for lab, idx in clusters.items()}
+    # per point: the cumulative weights below and at its own slot, and their total
+    bounds = []
+    moved = False
     try:
         for i in range(n):
             ci = codes[i]
@@ -466,14 +524,15 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                 log_ml[h] = chain.removed(members, i, code[h])
 
             candidates = sorted(clusters)
+            # the slot of i's own cluster; a singleton's is the new-cluster slot
+            home = len(candidates) if size == 1 else bisect_left(candidates, h)
             values = chain.grown(i, candidates, clusters, code, h if size > 2 else None)
             log_w = [
                 log(len(clusters[lab])) + value - log_ml[lab]
                 for lab, value in zip(candidates, values)
             ]
             if size > 2:
-                k = bisect_left(candidates, h)
-                log_w[k] = log(size - 1) + values[k] - log_ml[h]
+                log_w[home] = log(size - 1) + values[home] - log_ml[h]
             log_w.append(log(alpha) + chain.single[i])
             if not isfinite(sum(log_w)):
                 raise FloatingPointError(
@@ -482,7 +541,14 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
 
             top = max(log_w)
             cum = list(accumulate(exp(w - top) for w in log_w))
-            pick = min(bisect_right(cum, state.rng.random() * cum[-1]), len(candidates))
+            pick = min(bisect_right(cum, us[i] * cum[-1]), len(candidates))
+            moved = moved or pick != home
+            # the min above clamps the last slot, so its interval is open above
+            bounds.append((
+                cum[home - 1] if home else -inf,
+                cum[home] if home < len(candidates) else inf,
+                cum[-1],
+            ))
             if pick < len(candidates):
                 lab = candidates[pick]
                 value = values[pick]
@@ -508,6 +574,11 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
          state.rng.bit_generator.state) = snapshot
         raise
     _canonicalize(state)
+    if not moved:
+        state.stay = _Stay(
+            chain, state.crp, list(state.labels), dict(state.log_ml),
+            *np.array(bounds).T,
+        )
     state.sweep_index += 1
     return state
 
@@ -554,10 +625,13 @@ def run_chain(
             state.check_consistency(data)
         k_trace.append(state.k())
         if sweep >= burnin:
-            lab = np.asarray(state.labels)
-            co += lab[:, None] == lab[None, :]
             k_counts[state.k()] = k_counts.get(state.k(), 0) + 1
             kept.append(tuple(state.labels))
+    # a settled chain keeps few distinct label vectors: add each one's
+    # indicator once, times its count (exact, as the sums are integers)
+    for labs, count in Counter(kept).items():
+        lab = np.asarray(labs)
+        np.add(co, count, out=co, where=lab[:, None] == lab[None, :])
     co /= sweeps - burnin
     best = max(k_counts.values())
     k_mode = min(k for k, c in k_counts.items() if c == best)

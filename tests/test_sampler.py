@@ -309,6 +309,7 @@ def test_steady_chain_keeps_its_memo(monkeypatch):
     gibbs_sweep(state, data)
     clears[0] = 0
     for _ in range(39):
+        state.stay = None  # or the stay test answers the sweep without the memo
         gibbs_sweep(state, data)
     assert clears[0] == 0
     state.check_consistency(data)
@@ -498,3 +499,174 @@ def test_state_without_its_cache_continues_the_chain():
             idx for idx in fresh.clusters.values() if len(idx) > 1
         }
     fresh.check_consistency(data)
+
+
+def _stay_problem():
+    # at this seed the five chains below settle in 239 of their 1,500
+    # sweeps, and a valid record precedes a move in 256
+    rng = np.random.default_rng(2)
+    data = rng.standard_normal((8, 3)) + rng.integers(0, 3, 8)[:, None] * 2.0
+    return data, NiwPrior(np.zeros(3), 0.5, 5.0, 1.0)
+
+
+def _settled(data, prior, seed):
+    """A chain from singletons whose last sweep left a stay record."""
+    state = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
+    for _ in range(300):
+        gibbs_sweep(state, data)
+        if state.stay is not None:
+            return state
+    raise AssertionError("the chain did not settle")
+
+
+def _valid(stay, state):
+    return (stay is not None and stay.chain is state.chain and stay.crp is state.crp
+            and stay.labels == state.labels and stay.log_ml == state.log_ml)
+
+
+def test_stay_test_matches_scalar_sweeps():
+    # each chain has a twin without a stay record, so every twin sweep is
+    # a scalar scan; both must agree bit for bit after every sweep
+    data, prior = _stay_problem()
+    answered = moved = 0
+    for seed in range(5):
+        state = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
+        twin = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
+        for _ in range(300):
+            stay = state.stay
+            valid = _valid(stay, state)
+            gibbs_sweep(state, data)
+            twin.stay = None
+            gibbs_sweep(twin, data)
+            assert state.labels == twin.labels
+            assert state.log_ml == twin.log_ml
+            assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+            assert state.sweep_index == twin.sweep_index
+            if stay is not None and state.stay is stay:
+                answered += 1
+            elif valid:
+                assert state.stay is None  # the scan that followed moved a point
+                moved += 1
+        state.check_consistency(data)
+    assert answered > 100 and moved > 100, (answered, moved)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 8), (2, 400), (3, 1000)])
+def test_vector_draw_equals_scalar_draws(seed, n):
+    # a sweep draws its n uniforms in one call; the chain's stream is that
+    # of one scalar draw a point
+    vector = np.random.default_rng(seed)
+    scalar = np.random.default_rng(seed)
+    drawn = vector.random(n)
+    assert drawn.tolist() == [scalar.random() for _ in range(n)]
+    assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+def _answered_next(data, prior, seed):
+    """A settled chain whose stay record answers its next sweep."""
+    state = _settled(data, prior, seed)
+    for _ in range(300):
+        peek = np.random.default_rng()
+        peek.bit_generator.state = state.rng.bit_generator.state
+        us = peek.random(len(state.labels))
+        if state.stay is not None and state.stay.answers(state, us):
+            return state
+        gibbs_sweep(state, data)
+    raise AssertionError("no sweep answered by the stay test")
+
+
+def _move_by_hand(state, data):
+    # point 0 joins another cluster; labels and clusters agree, log_ml is left
+    h = state.labels[0]
+    lab = next(lab for lab in state.clusters if lab != h)
+    state.labels[0] = lab
+    for c in (h, lab):
+        state.clusters[c] = tuple(j for j, x in enumerate(state.labels) if x == c)
+    return data
+
+
+def _new_data(state, data):
+    return data[::-1].copy()
+
+
+def _new_crp(state, data):
+    state.crp = CrpPrior(1e6)
+    return data
+
+
+@pytest.mark.parametrize("edit", [_move_by_hand, _new_data, _new_crp])
+def test_edited_state_invalidates_the_stay_record(edit):
+    # the record of the last sweep would answer the next one, but the
+    # state has changed since: the sweep must be the scan of a state
+    # without a record
+    data, prior = _stay_problem()
+    state = _answered_next(data, prior, 1)
+    data = edit(state, data)
+    twin = init_state(data, prior, state.crp, 0)
+    twin.labels = list(state.labels)
+    twin.clusters = dict(state.clusters)
+    twin.log_ml = dict(state.log_ml)
+    twin.rng.bit_generator.state = state.rng.bit_generator.state
+    gibbs_sweep(state, data)
+    gibbs_sweep(twin, data)
+    assert state.labels == twin.labels
+    assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+def test_non_finite_log_marginal_after_a_stay_record_rolls_back():
+    data, prior = _stay_problem()
+    state = _answered_next(data, prior, 1)
+    assert state.k() > 1
+    # point 0 is outside the cluster edited, so it reads the value before
+    # any point of that cluster refreshes it
+    lab = max(state.clusters, key=lambda c: state.clusters[c][0])
+    state.log_ml[lab] = np.nan
+    before = (list(state.labels), dict(state.log_ml), state.rng.bit_generator.state)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        gibbs_sweep(state, data)
+    assert state.labels == before[0]
+    assert state.log_ml.keys() == before[1].keys() and np.isnan(state.log_ml[lab])
+    assert state.rng.bit_generator.state == before[2]
+
+
+def test_failed_scan_after_a_stay_test_restores_the_rng(monkeypatch):
+    data, prior = _stay_problem()
+    ref = _settled(data, prior, 2)
+    state = _settled(data, prior, 2)
+    for _ in range(300):
+        stay = state.stay
+        gibbs_sweep(state, data)
+        gibbs_sweep(ref, data)
+        if stay is not None and state.stay is stay:
+            break  # the stay test answered this sweep
+    assert state.stay is stay
+    chain = state.chain
+    grown = chain.grown
+
+    def failing(i, *args):
+        raise FloatingPointError("injected")
+
+    # sweeps the stay test answers make no grown call; the first one it
+    # does not answer runs the scan, which fails
+    monkeypatch.setattr(chain, "grown", failing)
+    for _ in range(300):
+        stay = state.stay
+        assert _valid(stay, state)
+        rng_state = state.rng.bit_generator.state
+        labels = list(state.labels)
+        try:
+            gibbs_sweep(state, data)
+        except FloatingPointError:
+            break
+        assert state.stay is stay
+        gibbs_sweep(ref, data)
+    assert state.rng.bit_generator.state == rng_state
+    assert state.labels == labels
+    assert state.stay is None
+    monkeypatch.setattr(chain, "grown", grown)
+    for _ in range(5):
+        gibbs_sweep(state, data)
+        gibbs_sweep(ref, data)
+        assert state.labels == ref.labels
+        assert state.log_ml == ref.log_ml
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
