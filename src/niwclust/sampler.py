@@ -26,10 +26,13 @@ records, for each point, the interval of its own cluster on its
 cumulative weight scale; the next sweep draws all n uniforms at once and,
 if every point falls inside its interval, it is answered by that one
 vectorised stay test, O(n) numpy work, with no weight evaluated.  This
-is the scalar rule exactly, given the weights of the recorded sweep.  A
-scalar sweep refreshes log_ml from the memo; after a memo clear a value
-can come back an ulp off, which the stay test, keeping the recorded
-value, does not see.
+is the scalar rule exactly, given the weights of the recorded sweep.
+run_chain tests a run of upcoming sweeps the same way, drawing the
+uniforms of up to _BLOCK // n sweeps in one call and giving back those
+from the first sweep that moves a point on; the sweeps of such a run
+share one label tuple in label_trace.  A scalar sweep refreshes log_ml
+from the memo; after a memo clear a value can come back an ulp off,
+which the stay test, keeping the recorded value, does not see.
 
 References
 ----------
@@ -83,6 +86,10 @@ _MEMO_BUDGET = 1 << 21
 _CODE_SEED = 1970
 
 _SCHUR_FLOOR = 1.0 - 1e-10
+
+# A settled chain's upcoming sweeps are stay-tested in blocks of at most
+# this many uniforms (32 KB), drawn in one call.
+_BLOCK = 4096
 
 
 def _point_codes(n: int) -> list:
@@ -356,13 +363,36 @@ class _Stay(NamedTuple):
     hi: np.ndarray
     tot: np.ndarray
 
-    def answers(self, state, us: np.ndarray) -> bool:
-        """Whether every point of state stays for the uniforms us."""
+    def count(self, state, limit: int) -> int:
+        """Answer up to limit upcoming sweeps of state in which every point stays.
+
+        Returns the number answered, 0 if the record no longer matches the
+        state (same chain and CRP prior, equal labels and log_ml).  Those
+        sweeps advance sweep_index, and the RNG is left after their
+        uniforms.  The uniforms of up to _BLOCK // n sweeps are drawn in
+        one call; the rows from the first sweep that moves a point on are
+        given back, so the scan that follows draws that sweep's itself.
+        """
         if not (self.chain is state.chain and self.crp is state.crp
                 and self.labels == state.labels and self.log_ml == state.log_ml):
-            return False
-        x = us * self.tot
-        return bool(((self.lo <= x) & (x < self.hi)).all())
+            return 0
+        rng = state.rng
+        n = self.tot.size
+        done = 0
+        while done < limit:
+            rows = min(max(1, _BLOCK // n), limit - done)
+            before = rng.bit_generator.state
+            x = rng.random((rows, n)) * self.tot
+            stays = ((self.lo <= x) & (x < self.hi)).all(axis=1)
+            if not stays.all():
+                j = int(stays.argmin())
+                rng.bit_generator.state = before
+                rng.random(j * n)
+                done += j
+                break
+            done += rows
+        state.sweep_index += done
+        return done
 
 
 @dataclass
@@ -466,9 +496,10 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     The sweep draws its n uniforms, one a point, in one call.  If the
     last sweep moved no point and left a stay record that still matches
     the state (same chain and CRP prior, equal labels and log_ml), the
-    record's stay test runs first: when every point would stay, the
-    sweep returns with nothing else changed.  Otherwise the scalar scan
-    below runs with the same uniforms.  The stay test keeps log_ml as
+    record's stay test (``_Stay.count`` with a limit of one) runs first:
+    when every point would stay, the sweep returns with nothing else
+    changed.  Otherwise the test gives its uniforms back and the scalar
+    scan below draws the same ones.  The stay test keeps log_ml as
     recorded, where a scan would refresh it from the memo (an ulp apart
     after a memo clear).
 
@@ -480,15 +511,13 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     chain = state.chain
     if chain is None or (chain.data is not data and not np.array_equal(chain.data, data)):
         chain = state.chain = _ChainCache(data, state.prior)
+    if state.stay is not None and state.stay.count(state, 1):
+        return state
+    state.stay = None
     labels = state.labels
     n = len(labels)
     rng_state = state.rng.bit_generator.state
-    draws = state.rng.random(n)
-    if state.stay is not None and state.stay.answers(state, draws):
-        state.sweep_index += 1
-        return state
-    state.stay = None
-    us = draws.tolist()
+    us = state.rng.random(n).tolist()
     clusters = state.clusters
     log_ml = state.log_ml
     alpha = state.crp.alpha
@@ -609,6 +638,11 @@ def run_chain(
     co-clustering matrix averages pairwise same-cluster indicators over
     the sweeps after burnin, and label_trace keeps the label vector of
     each of those sweeps.
+
+    A settled chain's sweeps are answered in runs by ``_Stay.count``, with
+    the outputs of a scan on every sweep; the sweeps of one run share one
+    label tuple in label_trace.  With debug, the caches are checked after
+    each run and each scanned sweep.
     """
     if burnin < 0 or sweeps <= burnin:
         raise InvalidConfig(f"need sweeps > burnin >= 0, got {sweeps}, {burnin}")
@@ -619,14 +653,22 @@ def run_chain(
     k_trace = []
     kept = []
     k_counts: dict = {}
-    for sweep in range(sweeps):
-        gibbs_sweep(state, data)
+    sweep = 0
+    while sweep < sweeps:
+        # a settled chain's run of sweeps is answered at once; else one scan
+        done = 0 if state.stay is None else state.stay.count(state, sweeps - sweep)
+        if not done:
+            gibbs_sweep(state, data)
+            done = 1
         if debug:
             state.check_consistency(data)
-        k_trace.append(state.k())
-        if sweep >= burnin:
-            k_counts[state.k()] = k_counts.get(state.k(), 0) + 1
-            kept.append(tuple(state.labels))
+        k = state.k()
+        k_trace += [k] * done
+        kept_now = sweep + done - max(sweep, burnin)
+        if kept_now > 0:
+            k_counts[k] = k_counts.get(k, 0) + kept_now
+            kept += [tuple(state.labels)] * kept_now
+        sweep += done
     # a settled chain keeps few distinct label vectors: add each one's
     # indicator once, times its count (exact, as the sums are integers)
     for labs, count in Counter(kept).items():
