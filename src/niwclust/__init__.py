@@ -1,11 +1,11 @@
 """High-dimensional Bayesian Gaussian mixture clustering under NIW priors.
 
 Exact marginal likelihoods of a cluster's rows, taken as a plain
-array, in primal (p x p) and dual (n x n) forms, the merge/split
-posterior ratio split into interpretable terms, its analytic large-p
-limits under the scaled robust prior, a collapsed Gibbs sampler for
-the Dirichlet-process mixture, and small utilities for data
-generation, CSV I/O, and SVG plotting.
+array and factored on the smaller of the n x n and p x p sides, the
+merge/split posterior ratio split into interpretable terms, its
+analytic large-p limits under the scaled robust prior, a collapsed
+Gibbs sampler for the Dirichlet-process mixture, and small utilities
+for data generation, CSV I/O, and SVG plotting.
 
 The package namespace holds what the README quick start uses; every
 other name is imported from its submodule.

@@ -8,13 +8,14 @@ has the closed-form marginal likelihood
     * |Lambda0|^{nu0/2} / |Lambda0 + S + (n kappa0/(n+kappa0)) d d^T|^{(nu0+n)/2}
 
 with S the centered scatter and d = ybar - mu0 (see e.g. Murphy [1]).
-The primal evaluation factorizes the p x p matrix directly.  For p much
-larger than n the same value is computed in n x n space: every prior
-here has Lambda0 = lambda0 * I, and after the transformation
-ytilde = (y - mu0) / sqrt(lambda0) the determinant splits
-into |I_n + G| for the Gram matrix G = Ytilde Ytilde^T and a scalar
-factor obtained from the Woodbury identity, so the cost is
-O(p n^2 + n^3) instead of O(p^3).
+Every prior here has Lambda0 = lambda0 * I, and after the transformation
+ytilde = (y - mu0) / sqrt(lambda0) the determinant splits into
+|I_n + G| for the Gram matrix G = Ytilde Ytilde^T and a scalar factor
+in s = 1^T (I_n + G)^-1 1, from the Woodbury identity.  Every marginal
+reads those two numbers from :func:`gram_parts`, which factors the
+smaller side: the n x n matrix I_n + G, or the p x p matrix
+I_p + Ytilde^T Ytilde of the same determinant, so the cost is
+O(n p min(n, p) + min(n, p)^3).
 
 References
 ----------
@@ -25,7 +26,6 @@ References
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,16 +36,15 @@ __all__ = [
     "LOG_PI",
     "lgam",
     "log_gamma",
-    "spd_log_det",
     "NiwPrior",
     "RobustPriorSpec",
-    "GramFactor",
     "robust_prior",
     "check_finite",
     "transform_data",
     "gram_matrix",
     "forward_solve",
     "factor_gram",
+    "gram_parts",
     "check_nu0",
     "size_constants",
     "log_scalar_factor",
@@ -54,14 +53,7 @@ __all__ = [
     "row_standardize",
 ]
 
-# Dual evaluation pays off once the Gram side is decisively smaller.
-_DUAL_RATIO = 4
-
 LOG_PI = float(np.log(np.pi))
-
-# Pivot below PIVOT_RTOL * max(diag) counts as numerically singular.
-# A fixed relative threshold keeps the PD test stable across platforms.
-PIVOT_RTOL = 1e-12
 
 
 # Cephes lgam polynomials, highest power first: the Stirling correction
@@ -131,44 +123,6 @@ def lgam(x: float) -> float:
 def log_gamma(a: NDArray[np.float64]) -> NDArray[np.float64]:
     """:func:`lgam` of each entry of a 1-d array."""
     return np.fromiter(map(lgam, a.tolist()), dtype=float, count=a.size)
-
-
-def spd_log_det(m) -> float:
-    """log|M| of a symmetric positive definite matrix, from its Cholesky factor.
-
-    Every determinant here is raised to a power of order (nu0 + n) / 2,
-    which overflows raw determinants at a few hundred dimensions, so
-    they stay in log space: log|M| = 2 * sum(log diag(L)) for M = L L^T.
-
-    Raises
-    ------
-    ValueError
-        If m is not a square, symmetric matrix.
-    NotPositiveDefinite
-        If the diagonal is not positive, the factorization fails or any
-        pivot falls below ``PIVOT_RTOL * max(diag(m))``.  A failure here
-        usually signals a prior scale lambda0 negligible against a
-        degenerate scatter matrix.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=1e-10, atol=0.0):
-        raise ValueError("matrix is not symmetric")
-    max_diag = float(np.max(np.diag(a)))
-    if not np.isfinite(max_diag) or max_diag <= 0.0:
-        raise NotPositiveDefinite("matrix diagonal is not positive")
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
-    pivots = np.diag(lower) ** 2
-    if np.min(pivots) < PIVOT_RTOL * max_diag:
-        raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below tolerance "
-            f"{PIVOT_RTOL * max_diag:.3e}"
-        )
-    return float(2.0 * np.log(np.diag(lower)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +262,14 @@ def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     return out
 
 
+def _overflow(i: int, rows, matrix: str) -> DomainError:
+    """The error naming row i of ytilde, data row rows[i], as overflowing."""
+    r = i if rows is None else rows[i]
+    return DomainError(
+        f"data row {r + 1} overflows the {matrix} matrix; rescale the data"
+    )
+
+
 def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
     """The Gram matrix Ytilde Ytilde^T of finite rows, checked for overflow.
 
@@ -329,23 +291,8 @@ def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
     if not finite.all():
         diag = ~finite.diagonal()
         bad = np.flatnonzero(diag if diag.any() else ~finite.all(axis=1))
-        r = bad[0] if rows is None else rows[bad[0]]
-        raise DomainError(
-            f"data row {r + 1} overflows the Gram matrix; rescale the data"
-        )
+        raise _overflow(bad[0], rows, "Gram")
     return gram
-
-
-class GramFactor(NamedTuple):
-    """Cholesky factor of I + G for an n x n Gram block G.
-
-    lower is L with L L^T = I + G, log_det = log|I + G| and z = L^-1 1,
-    so that 1^T (I + G)^-1 1 = z @ z.
-    """
-
-    lower: NDArray[np.float64]
-    log_det: float
-    z: NDArray[np.float64]
 
 
 def forward_solve(lower: NDArray[np.float64], rhs: NDArray[np.float64]):
@@ -362,20 +309,56 @@ def forward_solve(lower: NDArray[np.float64], rhs: NDArray[np.float64]):
     return z
 
 
-def factor_gram(gram: NDArray[np.float64]) -> GramFactor:
-    """Factor I + G, the n x n matrix of every dual-form evaluation.
+def _cholesky(a: NDArray[np.float64]):
+    """(L, log|a|) with L L^T = a, for a = I + a PSD matrix."""
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - a >= I
+        raise NotPositiveDefinite(str(exc)) from None
+    return lower, float(2.0 * np.log(np.diag(lower)).sum())
 
-    Cluster marginals, both determinant terms of the merge ratio and
-    the sampler's per-cluster factors all read their |I_n + G| and
-    1^T (I_n + G)^-1 1 from here.
+
+def factor_gram(gram: NDArray[np.float64]):
+    """(L, log|I + G|, z) with L L^T = I + G and z = L^-1 1, for n x n G.
+
+    1^T (I + G)^-1 1 = z @ z.  The n x n side of :func:`gram_parts` and
+    the sampler's per-cluster factors are read from here.
     """
     n = gram.shape[0]
-    try:
-        lower = np.linalg.cholesky(gram + np.eye(n))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - G is PSD
-        raise NotPositiveDefinite(str(exc)) from None
-    z = forward_solve(lower, np.ones(n))
-    return GramFactor(lower, float(2.0 * np.log(np.diag(lower)).sum()), z)
+    lower, log_det = _cholesky(gram + np.eye(n))
+    return lower, log_det, forward_solve(lower, np.ones(n))
+
+
+def gram_parts(ytilde: NDArray[np.float64], rows=None, dual=None):
+    """(log|I_n + G|, s = 1^T (I_n + G)^-1 1) of transformed rows ytilde.
+
+    These are the only numbers of the data that a marginal reads.
+    dual=True factors I_n + G (:func:`factor_gram`), which loses accuracy
+    as the rows' mean outgrows their spread.  dual=False factors the
+    p x p side on the centred rows: with m their mean,
+    A_c = I_p + (Y - m)^T (Y - m) = L L^T and nq = n |L^-1 m|^2 give
+    log|I_n + G| = log|A_c| + log1p(nq) and s = n / (1 + nq), free of
+    cancellation.  None, the default, picks the smaller side, p x p from
+    n = p on.  Overflow raises DomainError naming the data row (rows as
+    in :func:`gram_matrix`); on the p x p side, the first row whose
+    squared norm overflows, else the one of largest norm.
+    """
+    n, p = ytilde.shape
+    if n < p if dual is None else dual:
+        _, log_det, z = factor_gram(gram_matrix(ytilde, rows))
+        return log_det, float(z @ z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ytilde.mean(axis=0)
+        centered = ytilde - mean
+        scatter = centered.T @ centered
+        if np.isfinite(scatter).all():
+            lower, log_det = _cholesky(scatter + np.eye(p))
+            w = forward_solve(lower, mean)
+            nq = n * float(w @ w)
+            if math.isfinite(nq):
+                return log_det + math.log1p(nq), n / (1.0 + nq)
+        sq_norms = np.einsum("ij,ij->i", ytilde, ytilde)
+    raise _overflow(int(np.argmax(sq_norms)), rows, "scatter")
 
 
 def check_nu0(nu0: float, p: int) -> None:
@@ -449,9 +432,9 @@ def cluster_log_marginal(rows, prior: NiwPrior, form: str = "auto") -> float:
         observation.  An empty cluster is an array of shape (0, p).
     prior : NiwPrior
     form : {"auto", "primal", "dual"}
-        "primal" factorizes the p x p posterior scale matrix, "dual"
-        works in n x n space.  "auto" picks the dual route when
-        p > 4 * n.
+        The side that :func:`gram_parts` factors: "dual" the n x n
+        matrix I_n + G, "primal" the p x p matrix of the same
+        determinant, and "auto" the smaller one (n < p is n x n).
 
     Returns
     -------
@@ -465,12 +448,10 @@ def cluster_log_marginal(rows, prior: NiwPrior, form: str = "auto") -> float:
     ValueError
         If rows is not 2-d after a 1-d array is taken as one row, has
         no column, or does not match the prior's width.
-    NotPositiveDefinite
-        If the inner p x p matrix is numerically singular.
     DomainError
         If some cell is not finite (see :func:`check_finite`), if
-        nu0 < p (see :func:`check_nu0`) or if the Gram matrix of the
-        dual form overflows.
+        nu0 < p (see :func:`check_nu0`) or if the factored matrix
+        overflows; the message names the row (see :func:`gram_parts`).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
@@ -487,21 +468,10 @@ def cluster_log_marginal(rows, prior: NiwPrior, form: str = "auto") -> float:
         raise ValueError(f"cluster width {p} does not match prior p={prior.p}")
     if form not in ("auto", "primal", "dual"):
         raise ValueError(f"unknown form {form!r}")
-    dual = form == "dual" or (form == "auto" and p > _DUAL_RATIO * n)
     consts = size_constants(prior, n)
-    if dual:
-        f = factor_gram(gram_matrix(transform_data(rows, prior)))
-        return float(dual_log_marginal(consts, prior, n, f.log_det, f.z @ f.z))
-
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    d = mean - prior.mu0
-    inner = prior.lambda0 * np.eye(p) + centered.T @ centered
-    inner += (n * prior.kappa0 / (n + prior.kappa0)) * np.outer(d, d)
-    log_det_inner = spd_log_det(inner)
-    return float(
-        consts[n] - (prior.nu0 + n) / 2.0 * (log_det_inner - prior.lambda0_log_det)
-    )
+    dual = None if form == "auto" else form == "dual"
+    log_det, s = gram_parts(transform_data(rows, prior), dual=dual)
+    return float(dual_log_marginal(consts, prior, n, log_det, s))
 
 
 def row_standardize(y) -> NDArray[np.float64]:

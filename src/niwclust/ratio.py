@@ -26,8 +26,8 @@ from .niw import (
     RobustPriorSpec,
     check_finite,
     check_nu0,
-    factor_gram,
     gram_matrix,
+    gram_parts,
     log_gamma,
     log_scalar_factor,
     transform_data,
@@ -225,18 +225,18 @@ def merge_log_ratio(
     term_gamma = gamma_term_log(p, prior.nu0, n1, n2)
     term_kappa = kappa_term_log(p, prior.kappa0, n1, n2)
 
-    def dual_parts(block, rows):
-        """(log scalar factor, log|I + G|) of transformed rows block."""
-        f = factor_gram(gram_matrix(block, rows))
-        return float(log_scalar_factor(prior, rows.size, f.z @ f.z)), f.log_det
+    def log_parts(block, rows):
+        """(log scalar factor, log|I + G|) of transformed rows, smaller side."""
+        log_det, s = gram_parts(block, rows)
+        return float(log_scalar_factor(prior, rows.size, s)), log_det
 
     # only the merged rows are transformed, once; the two clusters are
     # row slices (views) of that block
     merged = np.concatenate([idx1, idx2])
     ytilde = transform_data(data, prior, merged)
-    sf1, ld1 = dual_parts(ytilde[:n1], idx1)
-    sf2, ld2 = dual_parts(ytilde[n1:], idx2)
-    sfm, ldm = dual_parts(ytilde, merged)
+    sf1, ld1 = log_parts(ytilde[:n1], idx1)
+    sf2, ld2 = log_parts(ytilde[n1:], idx2)
+    sfm, ldm = log_parts(ytilde, merged)
 
     def half(nh):
         return (prior.nu0 + nh) / 2.0

@@ -227,14 +227,14 @@ class _ChainCache:
     def _build(self, idx: tuple) -> _Factor:
         """Factor of idx from one Cholesky factor of its Gram block."""
         ii = np.asarray(idx, dtype=np.intp)
-        f = factor_gram(self.gram[ii[:, None], ii])
-        lower_inv = forward_solve(f.lower, np.eye(ii.size))
+        lower, log_det, z = factor_gram(self.gram[ii[:, None], ii])
+        lower_inv = forward_solve(lower, np.eye(ii.size))
         return _Factor(
             ii,
             lower_inv.T @ lower_inv,
-            lower_inv.T @ f.z,
-            float(f.z @ f.z),
-            f.log_det,
+            lower_inv.T @ z,
+            float(z @ z),
+            log_det,
         )
 
     def _border(self, f: _Factor, i: int) -> _Border:

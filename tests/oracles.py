@@ -147,6 +147,47 @@ def full_scale_log_marginal(ys, mu0, kappa0: float, nu0: float, lam0) -> float:
     return cluster_log_marginal(z, prior) - ys.shape[0] / 2.0 * log_det
 
 
+def mp_log_marginal(ys, mu0, kappa0: float, nu0: float, lam0: float) -> float:
+    """Cluster marginal by the textbook posterior-scale formula at 50 digits.
+
+    Murphy's closed form with Lambda0 = lam0 * I:
+
+        -np/2 log pi + log Gamma_p(nu_n/2) - log Gamma_p(nu0/2)
+        + p/2 log(kappa0/kappa_n) + nu0/2 log|Lambda0| - nu_n/2 log|Lambda_n|
+
+    with Lambda_n = Lambda0 + S + (n kappa0/kappa_n) d d^T, S the centred
+    scatter and d = ybar - mu0.  Every step, the mean, the scatter and
+    the p x p determinant, runs in mpmath, so rows far from mu0 or far
+    above sqrt(lam0) in scale lose nothing to cancellation.
+    """
+    ys = np.asarray(ys, dtype=float)
+    n, p = ys.shape
+    mpf = mpmath.mpf
+    y = [[mpf(v) for v in row] for row in ys.tolist()]
+    mean = [sum(row[j] for row in y) / n for j in range(p)]
+    d = [mean[j] - mpf(float(mu0[j])) for j in range(p)]
+    kappa_n = mpf(kappa0) + n
+    c = n * mpf(kappa0) / kappa_n
+    lam_n = mpmath.matrix(p, p)
+    for i in range(p):
+        for j in range(i + 1):
+            v = sum((row[i] - mean[i]) * (row[j] - mean[j]) for row in y)
+            v += c * d[i] * d[j] + (mpf(lam0) if i == j else 0)
+            lam_n[i, j] = lam_n[j, i] = v
+
+    def log_gamma_p(a):
+        return mpf(p * (p - 1)) / 4 * mpmath.log(mpmath.pi) + sum(
+            mpmath.loggamma(a - mpf(j) / 2) for j in range(p))
+
+    nu_n = mpf(nu0) + n
+    total = (-mpf(n * p) / 2 * mpmath.log(mpmath.pi)
+             + log_gamma_p(nu_n / 2) - log_gamma_p(mpf(nu0) / 2)
+             + mpf(p) / 2 * mpmath.log(mpf(kappa0) / kappa_n)
+             + mpf(nu0) * p / 2 * mpmath.log(mpf(lam0))
+             - nu_n / 2 * mpmath.log(mpmath.det(lam_n)))
+    return float(total)
+
+
 @st.composite
 def rows_and_scalar_prior(draw, min_n=1):
     """(rows, (mu0, kappa0, nu0, lam0)) for the marginal properties.

@@ -1,35 +1,27 @@
-"""Log-determinants and triangular solves."""
+"""The (log|I + G|, s) kernel on both sides, and triangular solves."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from niwclust.errors import NotPositiveDefinite
-from niwclust.niw import forward_solve, spd_log_det
+from niwclust.niw import forward_solve, gram_parts
 
 
-def random_spd(rng, dim, jitter=1.0):
-    b = rng.standard_normal((dim, dim))
-    return b @ b.T + jitter * np.eye(dim)
-
-
-def test_spd_log_det_matches_slogdet():
-    rng = np.random.default_rng(0)
-    for dim in (1, 2, 5, 12, 40):
-        a = random_spd(rng, dim)
-        sign, ref = np.linalg.slogdet(a)
-        assert sign == 1.0
-        assert spd_log_det(a) == pytest.approx(ref, rel=1e-12, abs=1e-12)
-
-
-def test_not_positive_definite_raises():
-    with pytest.raises(NotPositiveDefinite):
-        spd_log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    with pytest.raises(NotPositiveDefinite):
-        spd_log_det(np.zeros((3, 3)))
-    with pytest.raises(NotPositiveDefinite):
-        ones = np.ones((2, 2))
-        spd_log_det(ones)  # rank 1, pivot collapses
+@given(n=st.integers(1, 12), p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_both_sides_of_the_kernel_agree(n, p, seed):
+    # the n x n and the p x p factorization of the same determinant, at
+    # unit scale, whichever side is the smaller; log|I + G| also against
+    # LAPACK's LU determinant
+    y = np.random.default_rng(seed).standard_normal((n, p))
+    gram = np.eye(n) + y @ y.T
+    sign, log_det = np.linalg.slogdet(gram)
+    ref = (log_det, np.linalg.solve(gram, np.ones(n)).sum())
+    assert sign == 1.0
+    for dual in (True, False):
+        for a, b in zip(gram_parts(y, dual=dual), ref):
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (dual, a, b)
 
 
 def gram_cholesky(rng, n):

@@ -96,13 +96,41 @@ def test_primal_and_dual_agree():
         assert abs(primal - dual) < 1e-8 * max(1.0, abs(primal))
 
 
-def test_auto_form_picks_dual_for_wide_data():
-    rng = np.random.default_rng(9)
-    ys = rng.standard_normal((3, 500))
-    prior = robust_prior(500, RobustPriorSpec(1.0, 2.0))
+@pytest.mark.parametrize("n, p", [(3, 500), (7, 8), (8, 8), (9, 8), (30, 3)])
+def test_auto_form_factors_the_smaller_side(n, p):
+    # n < p is the n x n side; at n = p the centred p x p side, which
+    # keeps far-off means exact
+    ys = np.random.default_rng(9).standard_normal((n, p)) + 10.0
+    prior = NiwPrior(np.zeros(p), 1.0, p + 4.0, 1.0)
+    side, other = ("dual", "primal") if n < p else ("primal", "dual")
     auto = cluster_log_marginal(ys, prior)
-    dual = cluster_log_marginal(ys, prior, form="dual")
-    assert auto == dual
+    assert auto == cluster_log_marginal(ys, prior, form=side)
+    assert auto != cluster_log_marginal(ys, prior, form=other)
+
+
+@pytest.mark.parametrize("n, p", [(30, 3), (8, 8), (10, 20), (12, 30), (5, 40)])
+def test_auto_form_is_exact_far_from_the_prior(n, p):
+    # rows far from mu0 and far above sqrt(lambda0) in scale, against
+    # Murphy's formula at 50 digits; the wide shapes at shift 1000, scale
+    # 1e5 used to raise NotPositiveDefinite
+    prior = NiwPrior(np.zeros(p), 1.0, p + 4.0, 1.0)
+    z = np.random.default_rng(0).standard_normal((n, p))
+    for shift in (0.0, 10.0, 1000.0):
+        for scale in (1.0, 1e3, 1e5):
+            ys = (z + shift) * scale
+            ref = oracles.mp_log_marginal(ys, prior.mu0, 1.0, p + 4.0, 1.0)
+            mine = cluster_log_marginal(ys, prior)
+            assert abs(mine - ref) <= 1e-10 * abs(ref), (shift, scale, mine, ref)
+
+
+def test_overflowing_mean_on_the_p_x_p_side_is_rejected():
+    # equal rows of 1e160: the centred scatter is 0 and finite, but
+    # n |L^-1 m|^2 overflows, which would score the cluster -inf
+    prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
+    rows = np.full((4, 2), 1e160)
+    for form in ("auto", "primal", "dual"):
+        with pytest.raises(DomainError, match="data row 1 overflows"):
+            cluster_log_marginal(rows, prior, form=form)
 
 
 def test_dual_is_fast_and_finite_at_p_10000():

@@ -61,6 +61,26 @@ def test_breakdown_terms_sum_to_direct_marginal_difference():
                                                    abs=1e-12)
 
 
+def test_total_likelihood_is_exact_far_from_the_prior():
+    # 30 rows in p = 3 split 15/15, far from mu0 and far above
+    # sqrt(lambda0) in scale: every cluster has n > p, which the n x n
+    # Gram factor alone got wrong by up to 8e-2 nats, or raised on
+    crp = CrpPrior(1.0)
+    prior = NiwPrior(np.zeros(3), 1.0, 7.0, 1.0)
+    part = Partition([1] * 15 + [2] * 15)
+    z = np.random.default_rng(0).standard_normal((30, 3))
+
+    def mp(rows):
+        return oracles.mp_log_marginal(rows, prior.mu0, 1.0, 7.0, 1.0)
+
+    for shift in (0.0, 10.0, 1000.0):
+        for scale in (1.0, 1e3, 1e5):
+            data = (z + shift) * scale
+            ref = mp(data[:15]) + mp(data[15:]) - mp(data)
+            mine = merge_log_ratio(data, part, 1, 2, prior, crp).total_likelihood
+            assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref)), (shift, scale)
+
+
 @given(case=oracles.rows_and_scalar_prior(min_n=2), cut=st.integers(1, 5))
 @example(case=(np.array([[0.7], [-0.4]]), (np.zeros(1), 1.0, 1.0, 1.0)), cut=1)
 @example(case=(np.array([[0.3, -1.2]] * 4), (np.zeros(2), 0.5, 2.0, 0.8)), cut=2)

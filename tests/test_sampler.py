@@ -426,6 +426,8 @@ def test_data_overflowing_the_gram_matrix_is_rejected():
     calls = (
         lambda: init_state(data, prior, crp, 0),
         lambda: run_chain(data, prior, crp, sweeps=2, burnin=0, seed=0),
+        lambda: cluster_log_marginal(data, prior),
+        lambda: cluster_log_marginal(data, prior, form="primal"),
         lambda: cluster_log_marginal(data, prior, form="dual"),
         lambda: merge_log_ratio(data, Partition([1, 1, 1, 2, 2, 2]), 1, 2, prior, crp),
         lambda: projector_residual(data),
