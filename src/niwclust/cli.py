@@ -390,8 +390,13 @@ def cmd_cluster(cfg: argparse.Namespace) -> None:
     crp = CrpPrior(cfg.alpha)
     truth = None
     if cfg.truth:
-        labels = read_csv(cfg.truth).values[:, 0]
-        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
+        table = read_csv(cfg.truth).values
+        if table.shape[1] != 1:
+            raise InvalidConfig(
+                f"truth must have one column of labels, got {table.shape[1]}"
+            )
+        labels = table[:, 0]
+        bad =np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
         if bad.size:
             raise InvalidConfig(
                 f"truth row {bad[0] + 1}: label {labels[bad[0]]:g} is not an integer"

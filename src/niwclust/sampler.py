@@ -14,11 +14,8 @@ marginal the rest of the package evaluates, via a per-chain cache of
 the transformed Gram matrix and of each cluster's inverse of I + G_c.
 After an O(n^2 p) setup, one weight costs O(n_c^2) (a bordered append)
 and removing a point O(1) (a Schur deletion); all singleton candidates
-of a point are scored in one vectorised step.  A memo answers repeated
-weights.  Its key is the XOR of fixed random codes of the members
-(Zobrist hashing [2]), so removing or adding a point changes a key by
-one XOR: a point whose weights all hit the memo costs O(k), and member
-tuples are rebuilt only when a point changes cluster.
+of a point are scored in one vectorised step, and the weight of a
+point's own cluster is the log marginal that cluster already holds.
 
 A sweep that moves no point leaves the partition and every weight as
 they were, so the next sweep differs only in its uniforms.  Such a sweep
@@ -30,26 +27,21 @@ is the scalar rule exactly, given the weights of the recorded sweep.
 run_chain tests a run of upcoming sweeps the same way, drawing the
 uniforms of up to _BLOCK // n sweeps in one call and giving back those
 from the first sweep that moves a point on; the sweeps of such a run
-share one label tuple in label_trace.  A scalar sweep refreshes log_ml
-from the memo; after a memo clear a value can come back an ulp off,
-which the stay test, keeping the recorded value, does not see.
+share one label tuple in label_trace.  A scanned sweep that moves no
+point leaves log_ml as it found it, so its record stays valid.
 
 References
 ----------
 .. [1] R. M. Neal, "Markov chain sampling methods for Dirichlet process
    mixture models", JCGS 9(2), 2000.
-.. [2] A. L. Zobrist, "A new hashing method with application for game
-   playing", Technical Report 88, University of Wisconsin, 1970.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from itertools import accumulate
 from math import exp, inf, isfinite, log
-from operator import xor
-from random import Random
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -75,28 +67,11 @@ __all__ = [
     "run_chain",
 ]
 
-# The memo holds at most this many entries: 2^21 of a 128-bit int key and
-# a float take about 216 MB (108 bytes an entry under tracemalloc).  A
-# chain's working set is a few entries a point (81k at n = 400, p = 300;
-# 1.3M at n = 2,600, p = 200), so neither clears after its first sweep.
-_MEMO_BUDGET = 1 << 21
-
-# Seed of the per-point memo codes.  They have their own generator, so the
-# chain's draws do not depend on them.
-_CODE_SEED = 1970
-
 _SCHUR_FLOOR = 1.0 - 1e-10
 
 # A settled chain's upcoming sweeps are stay-tested in blocks of at most
 # this many uniforms (32 KB), drawn in one call.
 _BLOCK = 4096
-
-
-def _point_codes(n: int) -> list:
-    """One random 128-bit code per point.  The XOR of a member set's codes
-    is its memo key; two sets share one with odds of about 2^-128."""
-    rng = Random(_CODE_SEED)
-    return [rng.getrandbits(128) for _ in range(n)]
 
 
 def _drifted(schur: float) -> bool:
@@ -179,23 +154,15 @@ class _ChainCache:
     come from ``factors``, which maps the member tuple of a current
     cluster of two or more points to its ``_Factor``.  Adding a point to
     a cluster is a bordered append to its factor, O(n_c^2); removing one
-    is a Schur deletion, O(1) for the marginal.
-    A memo answers repeated evaluations.  It is keyed by ``code(idx)``,
-    the XOR of the members' ``codes``, so the key of a cluster with a
-    point added or removed is one XOR away and a memo hit costs O(1)
-    whatever the cluster size.  Only misses read the factors.  It holds a
-    few entries a point and is cleared when a store would take it past
-    ``_MEMO_BUDGET`` entries.
+    is a Schur deletion, O(1) for the marginal.  A point added to a
+    singleton is scored in closed form from the pair's 2 x 2 block, and
+    each singleton's marginal is held in ``single``.
 
     ``move`` updates the factors of both clusters as soon as a point
-    changes cluster.  A chain whose points kept moving while the memo
-    answered would pay O(n_c^2) a move for factors it never reads; no
-    benchmark chain does this, as nearly all moves come in the first
-    sweep, where the clusters they touch are evaluated again anyway.
-    A cluster with no entry (a fresh pair, or each cluster of a rebuilt
-    chain) is built from its Gram block on first use, and one whose
-    update drifted is rebuilt from it.  Entries are never mutated, so
-    copying the dict snapshots the store.
+    changes cluster.  A cluster with no entry (a fresh pair, or each
+    cluster of a rebuilt chain) is built from its Gram block on first
+    use, and one whose update drifted is rebuilt from it.  Entries are
+    never mutated, so copying the dict snapshots the store.
     """
 
     def __init__(self, data: np.ndarray, prior: NiwPrior):
@@ -208,19 +175,7 @@ class _ChainCache:
         self._diag = self.gram.diagonal().copy()
         one = 1.0 + self._diag
         self.single = self._value(1, np.log(one), 1.0 / one).tolist()
-        self.codes = _point_codes(data.shape[0])
         self.factors: dict = {}
-        self._memo: dict = {}
-
-    def code(self, idx) -> int:
-        """Memo key of the member set idx."""
-        return reduce(xor, map(self.codes.__getitem__, idx), 0)
-
-    def _remember(self, keys: list, values: list) -> None:
-        """Store values under keys, first clearing a memo they would overfill."""
-        if len(self._memo) + len(keys) > _MEMO_BUDGET:
-            self._memo.clear()
-        self._memo.update(zip(keys, values))
 
     # ---------------------------------------------------------- factors
 
@@ -273,21 +228,13 @@ class _ChainCache:
         """Log marginal of a current cluster."""
         if len(idx) == 1:
             return self.single[idx[0]]
-        key = self.code(idx)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._factor_value(idx)
-            self._remember([key], [value])
-        return value
-
-    def _factor_value(self, idx: tuple) -> float:
         f = self._factor(idx)
         return float(self._value(len(idx), f.log_det, f.s))
 
-    def _changed(self, idx: tuple, step, i: int, key: int, size: int) -> float:
+    def _changed(self, idx: tuple, step, i: int, size: int) -> float:
         """Log marginal of current cluster idx with i appended or deleted
-        (step is _border or _deletion), memoised under key; size is the new
-        cluster's.  A drifted factor is rebuilt from its Gram block once."""
+        (step is _border or _deletion); size is the new cluster's.  A
+        drifted factor is rebuilt from its Gram block once."""
         out = step(self._factor(idx), i)
         if _drifted(out.schur):
             f = self.factors[idx] = self._build(idx)
@@ -296,44 +243,26 @@ class _ChainCache:
                 raise NotPositiveDefinite(
                     f"Schur complement {out.schur} in a cluster of {len(idx)}"
                 )
-        value = float(self._value(size, *out.totals()))
-        self._remember([key], [value])
-        return value
+        return float(self._value(size, *out.totals()))
 
-    def removed(self, members: tuple, i: int, key: int) -> float:
-        """Log marginal of current cluster members (three or more points)
-        without i, whose code is key."""
-        value = self._memo.get(key)
-        if value is None:
-            value = self._changed(members, self._deletion, i, key, len(members) - 1)
-        return value
-
-    def grown(self, i: int, labs: list, clusters: dict, code: dict, home=None) -> list:
+    def grown(self, i: int, labs: list, clusters: dict, home=None) -> list:
         """Log marginals of clusters[lab] plus i for each lab in labs.
 
-        code[lab] is the code of clusters[lab].  clusters[home], if given,
-        is the current cluster of i itself (code[home] leaves i out): its
-        value is that of clusters[home].
-        The singleton clusters that miss the memo are scored together in
-        closed form from their 2 x 2 blocks.
+        clusters[home], if given, is the current cluster of i itself; its
+        slot is left None for the caller, which holds its value.  The
+        singleton clusters are scored together in closed form from their
+        2 x 2 blocks.
         """
-        memo = self._memo
-        ci = self.codes[i]
-        values, at, keys = [], [], []
-        for lab in labs:
-            key = code[lab] ^ ci
-            value = memo.get(key)
-            if value is None:
-                idx = clusters[lab]
-                if len(idx) == 1:
-                    at.append(len(values))
-                    keys.append(key)
-                elif lab == home:
-                    value = self._factor_value(idx)
-                    self._remember([key], [value])
-                else:
-                    value = self._changed(idx, self._border, i, key, len(idx) + 1)
-            values.append(value)
+        values = [None] * len(labs)
+        at = []
+        for k, lab in enumerate(labs):
+            if lab == home:
+                continue
+            idx = clusters[lab]
+            if len(idx) == 1:
+                at.append(k)
+            else:
+                values[k] = self._changed(idx, self._border, i, len(idx) + 1)
         if at:
             js = [clusters[labs[k]][0] for k in at]
             a = 1.0 + self._diag[js]
@@ -343,7 +272,6 @@ class _ChainCache:
             scored = self._value(2, np.log(det), (a + c - 2.0 * g) / det).tolist()
             for k, value in zip(at, scored):
                 values[k] = value
-            self._remember(keys, scored)
         return values
 
 
@@ -499,15 +427,19 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     record's stay test (``_Stay.count`` with a limit of one) runs first:
     when every point would stay, the sweep returns with nothing else
     changed.  Otherwise the test gives its uniforms back and the scalar
-    scan below draws the same ones.  The stay test keeps log_ml as
-    recorded, where a scan would refresh it from the memo (an ulp apart
-    after a memo clear).
+    scan below draws the same ones.
 
-    Each cluster's memo code is taken once at sweep entry and then
-    updated by one XOR per removal or addition; member tuples are
-    rebuilt only for a point that changes cluster.
+    The weight of a point's own cluster is the log marginal that cluster
+    holds at the point's turn, so a point that stays leaves log_ml as it
+    found it.  Member tuples are rebuilt only for a point that changes
+    cluster.  data must have one row per label.
     """
     data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[0] != len(state.labels):
+        raise InvalidConfig(
+            f"data must have one row per label: {len(state.labels)} labels, "
+            f"data of shape {data.shape}"
+        )
     chain = state.chain
     if chain is None or (chain.data is not data and not np.array_equal(chain.data, data)):
         chain = state.chain = _ChainCache(data, state.prior)
@@ -529,33 +461,31 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
         dict(chain.factors),
         rng_state,
     )
-    codes = chain.codes
-    code = {lab: chain.code(idx) for lab, idx in clusters.items()}
     # per point: the cumulative weights below and at its own slot, and their total
     bounds = []
     moved = False
     try:
         for i in range(n):
-            ci = codes[i]
             h = labels[i]
             members = clusters[h]
             size = len(members)
+            own = log_ml[h]  # with i in it: the value of its home slot
             if size == 1:
-                del clusters[h], log_ml[h], code[h]
+                del clusters[h], log_ml[h]
             elif size == 2:
                 j = members[0] if members[1] == i else members[1]
                 clusters[h] = (j,)
                 log_ml[h] = chain.single[j]
-                code[h] = codes[j]
             else:
-                # clusters[h] keeps i until i leaves; only the code drops it
-                code[h] ^= ci
-                log_ml[h] = chain.removed(members, i, code[h])
+                # clusters[h] keeps i until i leaves
+                log_ml[h] = chain._changed(members, chain._deletion, i, size - 1)
 
             candidates = sorted(clusters)
             # the slot of i's own cluster; a singleton's is the new-cluster slot
             home = len(candidates) if size == 1 else bisect_left(candidates, h)
-            values = chain.grown(i, candidates, clusters, code, h if size > 2 else None)
+            values = chain.grown(i, candidates, clusters, h if size > 1 else None)
+            if size > 1:
+                values[home] = own
             log_w = [
                 log(len(clusters[lab])) + value - log_ml[lab]
                 for lab, value in zip(candidates, values)
@@ -595,7 +525,6 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                 chain.move(i, members, rest, target, key)
             else:
                 clusters[h] = members  # i stays where it was
-            code[lab] = code.get(lab, 0) ^ ci
             log_ml[lab] = value
             labels[i] = lab
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):

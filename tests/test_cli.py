@@ -298,6 +298,20 @@ def test_truth_labels_must_be_integers(tmp_path, capsys):
     assert not (tmp_path / "fit" / "co_clustering.csv").exists()
 
 
+def test_truth_with_more_than_one_column_exits_2(tmp_path, capsys):
+    # an index column first would otherwise be read as the labels
+    data, _ = generate(GenSpec(kind="single_gaussian", n=4, p=3, seed=2))
+    data_path = tmp_path / "d.csv"
+    write_csv(data_path, data)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("idx,label\n1,1\n2,1\n3,2\n4,2\n")
+    assert main(["cluster", "--input", str(data_path), "--truth", str(truth),
+                 "--sweeps", "4", "--burnin", "1",
+                 "--outdir", str(tmp_path / "fit")]) == 2
+    assert "truth must have one column of labels, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "co_clustering.csv").exists()
+
+
 def test_empty_input_exits_4(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

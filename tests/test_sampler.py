@@ -190,15 +190,6 @@ def _direct(data, prior, idx):
     return cluster_log_marginal(data[list(idx)], prior)
 
 
-def _exact_codes(monkeypatch):
-    # code 1 << j makes each memo key the bitmask of its member set
-    monkeypatch.setattr(sampler, "_point_codes", lambda n: [1 << j for j in range(n)])
-
-
-def _members(key):
-    return tuple(j for j in range(key.bit_length()) if key >> j & 1)
-
-
 def _assert_matches_build(chain, idx, f, rel):
     """f is a _Factor of cluster idx that agrees with _build(idx) to rel."""
     assert isinstance(f, sampler._Factor)
@@ -212,12 +203,8 @@ def _assert_matches_build(chain, idx, f, rel):
 
 
 def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
+    # the chain keeps moving, so its factors take thousands of updates
     data, prior = _mixing_problem()
-    # a memo of three entries answers almost nothing (23 of 144k lookups
-    # here), which sends nearly every evaluation through the incrementally
-    # updated factors
-    monkeypatch.setattr(sampler, "_MEMO_BUDGET", 3)
-    _exact_codes(monkeypatch)
     counts = {"append": 0, "delete": 0}
 
     def count(name, step):
@@ -242,12 +229,21 @@ def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     assert set(chain.factors) == {idx for idx in state.clusters.values() if len(idx) > 1}
     for idx, f in chain.factors.items():
         _assert_matches_build(chain, idx, f, rel=1e-8)
-    cached = [(idx, chain._factor_value(idx)) for idx in list(chain.factors)]
-    cached += [(_members(key), value) for key, value in chain._memo.items()]
-    assert len(cached) > len(chain.factors)
-    for idx, value in cached:
-        direct = _direct(data, prior, idx)
-        assert value == pytest.approx(direct, rel=1e-8)
+    # every removal and append a scan of the final state reads
+    checked = 0
+    for i, h in enumerate(state.labels):
+        members = state.clusters[h]
+        if len(members) > 2:
+            rest = tuple(j for j in members if j != i)
+            value = chain._changed(members, chain._deletion, i, len(rest))
+            assert value == pytest.approx(_direct(data, prior, rest), rel=1e-8)
+            checked += 1
+        labs = [lab for lab in state.clusters if lab != h]
+        for lab, value in zip(labs, chain.grown(i, labs, state.clusters)):
+            key = tuple(sorted(state.clusters[lab] + (i,)))
+            assert value == pytest.approx(_direct(data, prior, key), rel=1e-8)
+            checked += 1
+    assert checked > len(data)
 
 
 def test_batched_singleton_weights_match_per_candidate():
@@ -256,82 +252,13 @@ def test_batched_singleton_weights_match_per_candidate():
     for i in (0, 5, 11):
         labs = [j for j in range(12) if j != i]
         pairs = [tuple(sorted((j, i))) for j in labs]
-        values = chain.grown(
-            i, labs, {j: (j,) for j in labs}, {j: chain.code((j,)) for j in labs}
-        )
+        values = chain.grown(i, labs, {j: (j,) for j in labs})
         assert len(values) == len(pairs) == 11
         for pair, value in zip(pairs, values):
             f = chain._build(pair)
             one_by_one = float(chain._value(2, f.log_det, f.s))
             assert value == pytest.approx(one_by_one, rel=1e-12)
             assert value == pytest.approx(_direct(data, prior, pair), rel=1e-10)
-            assert chain._memo[chain.code(pair)] == value
-
-
-def test_memo_stays_within_index_budget(monkeypatch):
-    data, prior = _mixing_problem(n=12)
-    monkeypatch.setattr(sampler, "_MEMO_BUDGET", 40)
-    _exact_codes(monkeypatch)
-    state = init_state(data, prior, CrpPrior(1.0), 2, init="single")
-    chain = state.chain
-    remember = chain._remember
-
-    def checked(keys, values):
-        assert len(keys) <= 40
-        remember(keys, values)
-        assert len(chain._memo) <= 40
-
-    monkeypatch.setattr(chain, "_remember", checked)
-    for _ in range(30):
-        gibbs_sweep(state, data)
-        # the factor store holds the current clusters and nothing else
-        assert set(chain.factors) == {
-            idx for idx in state.clusters.values() if len(idx) > 1
-        }
-    state.check_consistency(data)
-
-
-def test_steady_chain_keeps_its_memo(monkeypatch):
-    # the memo holds a few entries a point, so a budget of six a point
-    # is cleared only while the first sweep coalesces the singletons
-    spec = GenSpec(kind="two_cluster_mixture", n=60, p=20, separation=10.0, seed=3)
-    data, _ = generate(spec)
-    prior = robust_prior(20, RobustPriorSpec(1.0, 2.0))
-    monkeypatch.setattr(sampler, "_MEMO_BUDGET", 360)
-    clears = [0]
-
-    class Counted(dict):
-        def clear(self):
-            clears[0] += 1
-            super().clear()
-
-    state = init_state(data, prior, CrpPrior(1.0), 1, init="singletons")
-    state.chain._memo = Counted()
-    gibbs_sweep(state, data)
-    clears[0] = 0
-    for _ in range(39):
-        state.stay = None  # or the stay test answers the sweep without the memo
-        gibbs_sweep(state, data)
-    assert clears[0] == 0
-    state.check_consistency(data)
-
-
-def test_shared_memo_code_is_caught_by_the_debug_check(monkeypatch):
-    # points 0 and 1 share a code, so e.g. {0, 2} and {1, 2} share a memo
-    # key and one answers for the other; the debug check must see it
-    data, prior = _mixing_problem(n=12)
-    codes = sampler._point_codes
-
-    def colliding(n):
-        out = codes(n)
-        out[1] = out[0]
-        return out
-
-    kw = dict(sweeps=30, burnin=0, seed=2, init="singletons", debug=True)
-    run_chain(data, prior, CrpPrior(1.0), **kw)
-    monkeypatch.setattr(sampler, "_point_codes", colliding)
-    with pytest.raises(AssertionError, match="marginal cache off"):
-        run_chain(data, prior, CrpPrior(1.0), **kw)
 
 
 @given(seed=st.integers(0, 10 ** 6), steps=st.integers(1, 12))
@@ -378,14 +305,14 @@ def test_drifted_factor_is_rebuilt():
     # (A^-1)_ii = 2 means a Schur complement of 1/2 < 1: drift
     chain.factors[members] = good._replace(inv=2.0 * np.eye(4))
     rest = (0, 2, 5)
-    value = chain.removed(members, 3, chain.code(rest))
+    value = chain._changed(members, chain._deletion, 3, 3)
     assert value == pytest.approx(_direct(data, prior, rest), rel=1e-10)
     assert np.allclose(chain.factors[members].inv, good.inv)
     # a non-finite factor is drift too, for a grow as for a removal
     nan_factor = good._replace(inv=np.full((4, 4), np.nan))
     chain.factors[members] = nan_factor
     key = (0, 2, 3, 5, 7)
-    (value,) = chain.grown(7, [1], {1: members}, {1: chain.code(members)})
+    (value,) = chain.grown(7, [1], {1: members})
     assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
     # and a move off or onto a drifted factor builds the new cluster
     # from its Gram block, for the cluster left as for the one joined
@@ -483,6 +410,28 @@ def test_failed_sweep_rolls_back_completely(monkeypatch):
         assert sweep_values(state) == expected[sweep]
 
 
+@pytest.mark.parametrize("rows", [8, 12])
+def test_sweep_rejects_data_of_another_length(rows):
+    # a 10-point state swept with 8 or 12 rows is refused before anything
+    # changes; the next sweep with its own data is the one a twin draws
+    data, prior = _mixing_problem(n=12)
+    state = init_state(data[:10], prior, CrpPrior(1.0), 6, init="single")
+    twin = init_state(data[:10], prior, CrpPrior(1.0), 6, init="single")
+    gibbs_sweep(state, data[:10])
+    gibbs_sweep(twin, data[:10])
+    chain, factors = state.chain, dict(state.chain.factors)
+    before = (list(state.labels), dict(state.clusters), dict(state.log_ml),
+              state.rng.bit_generator.state, state.sweep_index, state.stay)
+    with pytest.raises(InvalidConfig, match=f"10 labels, data of shape \\({rows}, 3\\)"):
+        gibbs_sweep(state, data[:rows])
+    assert (list(state.labels), dict(state.clusters), dict(state.log_ml),
+            state.rng.bit_generator.state, state.sweep_index, state.stay) == before
+    assert state.chain is chain and chain.factors == factors
+    gibbs_sweep(state, data[:10])
+    gibbs_sweep(twin, data[:10])
+    assert state.labels == twin.labels and state.log_ml == twin.log_ml
+
+
 def test_state_without_its_cache_continues_the_chain():
     data, prior = _mixing_problem(n=20)
     state = init_state(data, prior, CrpPrior(1.0), 8, init="single")
@@ -552,6 +501,26 @@ def test_stay_test_matches_scalar_sweeps():
                 moved += 1
         state.check_consistency(data)
     assert answered > 100 and moved > 100, (answered, moved)
+
+
+def test_scan_that_moves_no_point_keeps_log_ml():
+    # a stay record is valid only while log_ml equals the value recorded,
+    # so a scan that moves no point must leave log_ml as it found it, the
+    # marginals of two-point clusters included (a small alpha keeps pairs)
+    data, prior = _stay_problem()
+    still = with_pair = 0
+    for seed in range(5):
+        state = init_state(data, prior, CrpPrior(0.3), seed, init="singletons")
+        for _ in range(300):
+            state.stay = None  # every sweep is a scan
+            labels, log_ml = list(state.labels), dict(state.log_ml)
+            gibbs_sweep(state, data)
+            if state.stay is not None:
+                assert state.labels == labels
+                assert state.log_ml == log_ml
+                still += 1
+                with_pair += any(len(idx) == 2 for idx in state.clusters.values())
+    assert still > 200 and with_pair > 40, (still, with_pair)
 
 
 @pytest.mark.parametrize("seed, n", [(0, 1), (1, 8), (2, 400), (3, 1000)])
