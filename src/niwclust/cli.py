@@ -396,7 +396,7 @@ def cmd_cluster(cfg: argparse.Namespace) -> None:
                 f"truth must have one column of labels, got {table.shape[1]}"
             )
         labels = table[:, 0]
-        bad =np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
+        bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.round(labels)))
         if bad.size:
             raise InvalidConfig(
                 f"truth row {bad[0] + 1}: label {labels[bad[0]]:g} is not an integer"
