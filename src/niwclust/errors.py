@@ -30,13 +30,20 @@ class SameLabel(ValueError):
 
 
 class ParseError(ValueError):
-    """CSV cell could not be parsed; carries row and column indices."""
+    """CSV cell could not be parsed; carries row and column indices.
+
+    col is None when the csv reader rejects the row itself; text is then
+    the reader's message.
+    """
 
     def __init__(self, row, col, text):
         self.row = row
         self.col = col
         self.text = text
-        super().__init__(f"row {row}, column {col}: cannot parse {text!r}")
+        if col is None:
+            super().__init__(f"row {row}: {text}")
+        else:
+            super().__init__(f"row {row}, column {col}: cannot parse {text!r}")
 
 
 class RaggedRows(ValueError):

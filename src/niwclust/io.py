@@ -132,7 +132,7 @@ def _read_rows(lines, path) -> CsvTable:
     names = None
     width = None
     reader = csv.reader(lines)
-    for cells in reader:
+    for cells in _checked(reader):
         line_num = reader.line_num
         if not cells or (len(cells) == 1 and not cells[0].strip()):
             continue
@@ -154,6 +154,15 @@ def _read_rows(lines, path) -> CsvTable:
     if not rows:
         raise EmptyTable(f"{path} holds no data rows")
     return CsvTable(values=np.array(rows, dtype=float), names=names)
+
+
+def _checked(reader):
+    """The rows of a csv.reader; a line the reader itself rejects (a cell
+    past its field size limit, say) is a ParseError at its line number."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, None, str(exc)) from None
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:

@@ -12,10 +12,14 @@ normalized in log space with max-subtraction.  There is no separately
 coded predictive density; the weights come straight from the same
 marginal the rest of the package evaluates, via a per-chain cache of
 the transformed Gram matrix and of each cluster's inverse of I + G_c.
-After an O(n^2 p) setup, one weight costs O(n_c^2) (a bordered append)
-and removing a point O(1) (a Schur deletion); all singleton candidates
-of a point are scored in one vectorised step, and the weight of a
-point's own cluster is the log marginal that cluster already holds.
+After an O(n^2 p) setup, which also fills an n x n table of every
+pair's log marginal (n^2 floats, as the Gram matrix), one weight costs
+O(n_c^2) (a bordered append) and removing a point O(1) (a Schur
+deletion).  One routine, ``_Scan.weights``, gives all the weights of a
+point: its singleton candidates are read from the pair table in one
+numpy pass over arrays indexed by label, each larger cluster is a
+bordered append, and the weight of the point's own cluster is the log
+marginal that cluster already holds.
 
 A sweep that moves no point leaves the partition and every weight as
 they were, so the next sweep differs only in its uniforms.  Such a sweep
@@ -36,12 +40,11 @@ References
    mixture models", JCGS 9(2), 2000.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
-from math import exp, inf, isfinite, log
+from math import inf, isfinite, log
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -72,6 +75,9 @@ _SCHUR_FLOOR = 1.0 - 1e-10
 # A settled chain's upcoming sweeps are stay-tested in blocks of at most
 # this many uniforms (32 KB), drawn in one call.
 _BLOCK = 4096
+
+# The pair table is evaluated this many rows at a time.
+_ROWS = 64
 
 
 def _drifted(schur: float) -> bool:
@@ -118,8 +124,13 @@ class _Border(NamedTuple):
         inv[:m, :m] = f.inv + np.outer(v, v / schur)
         inv[m, :m] = inv[:m, m] = -v / schur
         inv[m, m] = 1.0 / schur
-        b = np.append(f.b - v * (t / schur), t / schur)
-        return _Factor(np.append(f.order, i), inv, b, s, log_det)
+        b = np.empty(m + 1)
+        b[:m] = f.b - v * (t / schur)
+        b[m] = t / schur
+        order = np.empty(m + 1, dtype=f.order.dtype)
+        order[:m] = f.order
+        order[m] = i
+        return _Factor(order, inv, b, s, log_det)
 
 
 class _Deletion(NamedTuple):
@@ -139,10 +150,12 @@ class _Deletion(NamedTuple):
     def applied(self) -> _Factor:
         _, f, pos, d = self
         log_det, s = self.totals()
-        col = np.delete(f.inv[pos], pos)
-        inv = np.delete(np.delete(f.inv, pos, 0), pos, 1) - np.outer(col, col / d)
-        b = np.delete(f.b, pos) - col * (f.b[pos] / d)
-        return _Factor(np.delete(f.order, pos), inv, b, s, log_det)
+        keep = np.arange(f.b.size - 1)  # every position but pos
+        keep[pos:] += 1
+        col = f.inv[pos].take(keep)
+        inv = f.inv.take(keep, 0).take(keep, 1) - np.outer(col, col / d)
+        b = f.b.take(keep) - col * (f.b[pos] / d)
+        return _Factor(f.order.take(keep), inv, b, s, log_det)
 
 
 class _ChainCache:
@@ -154,9 +167,10 @@ class _ChainCache:
     come from ``factors``, which maps the member tuple of a current
     cluster of two or more points to its ``_Factor``.  Adding a point to
     a cluster is a bordered append to its factor, O(n_c^2); removing one
-    is a Schur deletion, O(1) for the marginal.  A point added to a
-    singleton is scored in closed form from the pair's 2 x 2 block, and
-    each singleton's marginal is held in ``single``.
+    is a Schur deletion, O(1) for the marginal.  Each singleton's
+    marginal is held in ``single``, and each pair's in the n x n table
+    ``pair``: pair[i, j] is the log marginal of {i, j}, in closed form
+    from its 2 x 2 Gram block.  The table costs n^2 floats, as G does.
 
     ``move`` updates the factors of both clusters as soon as a point
     changes cluster.  A cluster with no entry (a fresh pair, or each
@@ -175,7 +189,25 @@ class _ChainCache:
         self._diag = self.gram.diagonal().copy()
         one = 1.0 + self._diag
         self.single = self._value(1, np.log(one), 1.0 / one).tolist()
+        self.pair = self._pairs()
         self.factors: dict = {}
+
+    def _pairs(self, rows: int = _ROWS) -> np.ndarray:
+        """The pair table, evaluated rows at a time so that its
+        temporaries stay O(rows n).  An entry that is not finite is caught
+        by the weight check of the sweep that reads it."""
+        n = self._diag.size
+        a = 1.0 + self._diag
+        pair = np.empty((n, n))
+        with np.errstate(all="ignore"):
+            for lo in range(0, n, rows):
+                c = a[lo : lo + rows, None]
+                g = self.gram[lo : lo + rows]
+                det = a * c - g * g
+                pair[lo : lo + rows] = self._value(
+                    2, np.log(det), (a + c - 2.0 * g) / det
+                )
+        return pair
 
     # ---------------------------------------------------------- factors
 
@@ -200,7 +232,7 @@ class _ChainCache:
 
     @staticmethod
     def _deletion(f: _Factor, i: int) -> _Deletion:
-        pos = int(np.flatnonzero(f.order == i)[0])
+        pos = f.order.tolist().index(i)
         d = float(f.inv[pos, pos])
         return _Deletion(1.0 / d if d > 0.0 else -inf, f, pos, d)
 
@@ -245,34 +277,111 @@ class _ChainCache:
                 )
         return float(self._value(size, *out.totals()))
 
-    def grown(self, i: int, labs: list, clusters: dict, home=None) -> list:
-        """Log marginals of clusters[lab] plus i for each lab in labs.
 
-        clusters[home], if given, is the current cluster of i itself; its
-        slot is left None for the caller, which holds its value.  The
-        singleton clusters are scored together in closed form from their
-        2 x 2 blocks.
+class _Scan:
+    """The partition of one sweep, with arrays indexed by label.
+
+    size and log_ml hold each current cluster's size and log marginal; a
+    label that names no cluster has size 0.  first[c] is the member of c
+    while c is a singleton (it is read for no other cluster).  multi holds
+    the labels of the clusters of two or more points, and clusters (the
+    state's dict, updated in place) their member tuples.  A sweep adds at
+    most one label per point, each one past the largest, so labels stay
+    below ``new``, the new-cluster slot.  Its size is 1, so that the
+    candidates, size.nonzero()[0], are the current labels, sorted, and
+    then it; they are kept until some cluster appears or empties.
+    """
+
+    def __init__(self, chain: _ChainCache, clusters: dict, log_ml: dict, alpha: float):
+        self.chain = chain
+        self.clusters = clusters
+        self.new = max(clusters, default=0) + len(chain.single) + 1
+        self.size = np.zeros(self.new + 1, dtype=np.intp)
+        self.log_ml = np.zeros(self.new + 1)
+        self.first = np.zeros(self.new + 1, dtype=np.intp)
+        for lab, idx in clusters.items():
+            self.size[lab] = len(idx)
+            self.log_ml[lab] = log_ml[lab]
+            self.first[lab] = idx[0]
+        self.size[self.new] = 1
+        self.multi = {lab for lab, idx in clusters.items() if len(idx) > 1}
+        self.log_alpha = log(alpha)
+        self.cands = None
+
+    def weights(self, i: int, h: int) -> tuple:
+        """Take point i out of its cluster h and weigh where it may go.
+
+        Returns (cands, value, log_w, home).  cands lists the labels of
+        the clusters without i, sorted, then the new-cluster slot.  For
+        each candidate, value holds its log marginal with i added (for h
+        itself, the one h holds with i) and log_w its log weight,
+        log n_c + value - log_ml.  home is the position of h in cands (of
+        the new-cluster slot if i was alone).  A singleton is scored from
+        the pair table, in one numpy pass for all of them, and a larger
+        cluster by a bordered append to its factor.
         """
-        values = [None] * len(labs)
-        at = []
-        for k, lab in enumerate(labs):
-            if lab == home:
-                continue
-            idx = clusters[lab]
-            if len(idx) == 1:
-                at.append(k)
+        chain = self.chain
+        size = int(self.size[h])
+        own = self.log_ml[h]
+        if size == 1:
+            self.size[h] = 0
+            self.cands = None
+        elif size == 2:
+            members = self.clusters[h]
+            j = members[0] if members[1] == i else members[1]
+            self.size[h] = 1
+            self.first[h] = j
+            self.log_ml[h] = chain.single[j]
+        else:
+            self.size[h] = size - 1
+            self.log_ml[h] = chain._changed(self.clusters[h], chain._deletion, i, size - 1)
+        if self.cands is None:
+            self.cands = self.size.nonzero()[0]
+        cands = self.cands
+        value = chain.pair[i].take(self.first.take(cands))
+        log_w = value - self.log_ml.take(cands)  # log 1 + value - log_ml for a singleton
+        for lab in self.multi:
+            if lab != h:
+                k = cands.searchsorted(lab)
+                idx = self.clusters[lab]
+                value[k] = v = chain._changed(idx, chain._border, i, len(idx) + 1)
+                log_w[k] = log(len(idx)) + v - self.log_ml[lab]
+        if size == 1:
+            home = cands.size - 1
+        else:
+            home = int(cands.searchsorted(h))
+            value[home] = own
+            log_w[home] = log(size - 1) + own - self.log_ml[h]
+        value[-1] = chain.single[i]
+        log_w[-1] = self.log_alpha + chain.single[i]
+        return cands, value, log_w, home
+
+    def place(self, i: int, h: int, lab: int, value: float) -> None:
+        """Put i, which weights took out of h, into cluster lab, whose log
+        marginal with i is value; lab may be h or a label naming no cluster."""
+        if lab != h:
+            clusters = self.clusters
+            members = clusters[h]
+            k = bisect_left(members, i)
+            rest = members[:k] + members[k + 1 :]
+            target = clusters.get(lab, ())
+            k = bisect_left(target, i)
+            key = clusters[lab] = target[:k] + (i,) + target[k:]
+            if rest:
+                clusters[h] = rest
             else:
-                values[k] = self._changed(idx, self._border, i, len(idx) + 1)
-        if at:
-            js = [clusters[labs[k]][0] for k in at]
-            a = 1.0 + self._diag[js]
-            c = 1.0 + self._diag[i]
-            g = self.gram[i, js]
-            det = a * c - g * g
-            scored = self._value(2, np.log(det), (a + c - 2.0 * g) / det).tolist()
-            for k, value in zip(at, scored):
-                values[k] = value
-        return values
+                del clusters[h]
+            if len(rest) < 2:
+                self.multi.discard(h)
+            if len(key) > 1:
+                self.multi.add(lab)
+            else:
+                self.first[lab] = i
+            self.chain.move(i, members, rest, target, key)
+        if not self.size[lab]:
+            self.cands = None
+        self.size[lab] += 1
+        self.log_ml[lab] = value
 
 
 class _Stay(NamedTuple):
@@ -426,13 +535,17 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     the state (same chain and CRP prior, equal labels and log_ml), the
     record's stay test (``_Stay.count`` with a limit of one) runs first:
     when every point would stay, the sweep returns with nothing else
-    changed.  Otherwise the test gives its uniforms back and the scalar
-    scan below draws the same ones.
+    changed.  Otherwise the test gives its uniforms back and the scan
+    below draws the same ones.
 
-    The weight of a point's own cluster is the log marginal that cluster
-    holds at the point's turn, so a point that stays leaves log_ml as it
-    found it.  Member tuples are rebuilt only for a point that changes
-    cluster.  data must have one row per label.
+    The scan fills a ``_Scan`` of the partition at entry.  For each point
+    in turn, ``_Scan.weights`` gives the log weights of its candidates,
+    which are normalized, summed and searched in numpy, and
+    ``_Scan.place`` records the pick.  The weight of a point's own
+    cluster is the log marginal that cluster holds at the point's turn,
+    so a point that stays leaves log_ml as it found it.  Member tuples
+    are rebuilt only for a point that changes cluster.  data must have
+    one row per label.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != len(state.labels):
@@ -450,87 +563,47 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     n = len(labels)
     rng_state = state.rng.bit_generator.state
     us = state.rng.random(n).tolist()
-    clusters = state.clusters
-    log_ml = state.log_ml
-    alpha = state.crp.alpha
-
     snapshot = (
         list(labels),
-        dict(clusters),
-        dict(log_ml),
+        dict(state.clusters),
+        dict(state.log_ml),
         dict(chain.factors),
         rng_state,
     )
     # per point: the cumulative weights below and at its own slot, and their total
     bounds = []
     moved = False
+    scan = _Scan(chain, state.clusters, state.log_ml, state.crp.alpha)
     try:
         for i in range(n):
             h = labels[i]
-            members = clusters[h]
-            size = len(members)
-            own = log_ml[h]  # with i in it: the value of its home slot
-            if size == 1:
-                del clusters[h], log_ml[h]
-            elif size == 2:
-                j = members[0] if members[1] == i else members[1]
-                clusters[h] = (j,)
-                log_ml[h] = chain.single[j]
-            else:
-                # clusters[h] keeps i until i leaves
-                log_ml[h] = chain._changed(members, chain._deletion, i, size - 1)
-
-            candidates = sorted(clusters)
-            # the slot of i's own cluster; a singleton's is the new-cluster slot
-            home = len(candidates) if size == 1 else bisect_left(candidates, h)
-            values = chain.grown(i, candidates, clusters, h if size > 1 else None)
-            if size > 1:
-                values[home] = own
-            log_w = [
-                log(len(clusters[lab])) + value - log_ml[lab]
-                for lab, value in zip(candidates, values)
-            ]
-            if size > 2:
-                log_w[home] = log(size - 1) + values[home] - log_ml[h]
-            log_w.append(log(alpha) + chain.single[i])
-            if not isfinite(sum(log_w)):
+            cands, value, log_w, home = scan.weights(i, h)
+            if not isfinite(log_w.sum()):
                 raise FloatingPointError(
                     f"non-finite reassignment weight for observation {i}"
                 )
-
-            top = max(log_w)
-            cum = list(accumulate(exp(w - top) for w in log_w))
-            pick = min(bisect_right(cum, us[i] * cum[-1]), len(candidates))
+            cum = np.exp(log_w - log_w.max()).cumsum()
+            k = cands.size - 1  # the clusters; cands[k] is the new-cluster slot
+            pick = min(int(cum.searchsorted(us[i] * cum[-1], "right")), k)
             moved = moved or pick != home
             # the min above clamps the last slot, so its interval is open above
             bounds.append((
                 cum[home - 1] if home else -inf,
-                cum[home] if home < len(candidates) else inf,
+                cum[home] if home < k else inf,
                 cum[-1],
             ))
-            if pick < len(candidates):
-                lab = candidates[pick]
-                value = values[pick]
-            else:
-                lab = max(clusters) + 1 if clusters else 1
-                value = chain.single[i]
-            if lab != h:
-                if size > 2:
-                    k = bisect_left(members, i)
-                    clusters[h] = members[:k] + members[k + 1 :]
-                rest = clusters.get(h, ())
-                target = clusters.get(lab, ())
-                k = bisect_left(target, i)
-                key = clusters[lab] = target[:k] + (i,) + target[k:]
-                chain.move(i, members, rest, target, key)
-            else:
-                clusters[h] = members  # i stays where it was
-            log_ml[lab] = value
+            if pick < k:
+                lab = int(cands[pick])
+            else:  # a new cluster, labelled one past the largest
+                lab = int(cands[k - 1]) + 1 if k else 1
+            scan.place(i, h, lab, value[pick])
             labels[i] = lab
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):
         (state.labels, state.clusters, state.log_ml, chain.factors,
          state.rng.bit_generator.state) = snapshot
         raise
+    log_ml = scan.log_ml.tolist()
+    state.log_ml = {lab: log_ml[lab] for lab in state.clusters}
     _canonicalize(state)
     if not moved:
         state.stay = _Stay(

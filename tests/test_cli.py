@@ -340,6 +340,13 @@ def test_ragged_input_exits_4(tmp_path):
                  "--outdir", str(tmp_path)]) == 4
 
 
+def test_cell_past_the_csv_field_limit_exits_4(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text('a,b\n1,2\n3,"' + "1" * 140_000 + '"\n')
+    assert main(["cluster", "--input", str(big), "--outdir", str(tmp_path)]) == 4
+    assert "row 3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_non_finite_input_exits_3(tmp_path, capsys):
     data, _ = generate(GenSpec(kind="single_gaussian", n=8, p=50, seed=4))
     data[2, 6] = np.nan

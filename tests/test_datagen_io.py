@@ -216,6 +216,9 @@ def test_bulk_read_equals_per_row_read(tmp_path_factory, rows, named, savetxt):
     ("", EmptyTable),
     ("a,b\n", EmptyTable),
     ("# meta\n\na,b\n\n", EmptyTable),
+    # a quoted cell past csv's field size limit (131,072 characters)
+    pytest.param('a,b\n1,2\n3,"' + "1" * 140_000 + '"\n', ParseError,
+                 id="quoted-cell-past-the-field-size-limit"),
 ])
 def test_edge_cells_read_as_the_per_row_parser_reads_them(tmp_path, text, expected):
     path = tmp_path / "edge.csv"

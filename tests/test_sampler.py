@@ -239,26 +239,82 @@ def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
             assert value == pytest.approx(_direct(data, prior, rest), rel=1e-8)
             checked += 1
         labs = [lab for lab in state.clusters if lab != h]
-        for lab, value in zip(labs, chain.grown(i, labs, state.clusters)):
+        scan = sampler._Scan(chain, state.clusters, state.log_ml, 1.0)
+        cands, values, _, _ = scan.weights(i, h)
+        grown = dict(zip(cands.tolist(), values.tolist()))
+        assert set(grown) - {h, scan.new} == set(labs)
+        for lab in labs:
             key = tuple(sorted(state.clusters[lab] + (i,)))
-            assert value == pytest.approx(_direct(data, prior, key), rel=1e-8)
+            assert grown[lab] == pytest.approx(_direct(data, prior, key), rel=1e-8)
             checked += 1
     assert checked > len(data)
+
+
+def _singletons(chain):
+    """A scan of the partition of chain's points into singletons, labelled 1..n."""
+    clusters = {j + 1: (j,) for j in range(len(chain.single))}
+    log_ml = {j + 1: value for j, value in enumerate(chain.single)}
+    return sampler._Scan(chain, clusters, log_ml, 1.0)
 
 
 def test_batched_singleton_weights_match_per_candidate():
     data, prior = _mixing_problem(n=12, p=30)
     chain = sampler._ChainCache(data, prior)
     for i in (0, 5, 11):
-        labs = [j for j in range(12) if j != i]
-        pairs = [tuple(sorted((j, i))) for j in labs]
-        values = chain.grown(i, labs, {j: (j,) for j in labs})
-        assert len(values) == len(pairs) == 11
-        for pair, value in zip(pairs, values):
+        cands, values, log_w, home = _singletons(chain).weights(i, i + 1)
+        labs = cands[:-1]
+        assert len(labs) == len(log_w) - 1 == 11 and home == 11
+        for lab, value, w in zip(labs, values, log_w):
+            pair = tuple(sorted((lab - 1, i)))
             f = chain._build(pair)
             one_by_one = float(chain._value(2, f.log_det, f.s))
             assert value == pytest.approx(one_by_one, rel=1e-12)
             assert value == pytest.approx(_direct(data, prior, pair), rel=1e-10)
+            assert w == value - chain.single[lab - 1]
+
+
+@pytest.mark.parametrize("shift", [0.0, 100.0])
+def test_pair_table_matches_per_pair_factors(shift):
+    data, prior = _mixing_problem(n=12, p=30)
+    data += shift
+    chain = sampler._ChainCache(data, prior)
+    for i in range(12):
+        for j in range(12):
+            if i != j:
+                pair = tuple(sorted((i, j)))
+                f = chain._build(pair)
+                one_by_one = float(chain._value(2, f.log_det, f.s))
+                assert chain.pair[i, j] == pytest.approx(one_by_one, rel=1e-12)
+                assert chain.pair[i, j] == pytest.approx(
+                    _direct(data, prior, pair), rel=1e-10
+                )
+
+
+def test_pair_table_far_from_the_prior_mean():
+    # at shift 1000 the closed form and a Cholesky factor of the pair's
+    # block each lose about 11 digits, so the table is held to the direct
+    # marginal and to Murphy's formula at 50 digits
+    data, prior = _mixing_problem(n=12, p=30)
+    data += 1000.0
+    chain = sampler._ChainCache(data, prior)
+    for i in range(12):
+        for j in range(12):
+            if i != j:
+                direct = _direct(data, prior, (i, j))
+                assert chain.pair[i, j] == pytest.approx(direct, rel=1e-10)
+    for i, j in ((0, 1), (3, 7), (11, 4)):
+        ref = oracles.mp_log_marginal(data[[i, j]], prior.mu0, prior.kappa0,
+                                      prior.nu0, 1.0)
+        assert chain.pair[i, j] == pytest.approx(ref, rel=1e-10)
+
+
+def test_pair_table_rows_at_a_time_equal_the_whole_table():
+    # 130 rows: two blocks of 64 and one of 2
+    data, prior = _mixing_problem(n=130, p=5)
+    chain = sampler._ChainCache(data, prior)
+    assert chain.pair.shape == (130, 130)
+    for rows in (1, 7, 130):
+        assert np.array_equal(chain._pairs(rows), chain.pair)
 
 
 @given(seed=st.integers(0, 10 ** 6), steps=st.integers(1, 12))
@@ -312,8 +368,10 @@ def test_drifted_factor_is_rebuilt():
     nan_factor = good._replace(inv=np.full((4, 4), np.nan))
     chain.factors[members] = nan_factor
     key = (0, 2, 3, 5, 7)
-    (value,) = chain.grown(7, [1], {1: members})
-    assert value == pytest.approx(_direct(data, prior, key), rel=1e-10)
+    scan = sampler._Scan(chain, {1: members, 2: (7,)}, {1: 0.0, 2: chain.single[7]}, 1.0)
+    cands, values, _, _ = scan.weights(7, 2)
+    assert cands[0] == 1
+    assert values[0] == pytest.approx(_direct(data, prior, key), rel=1e-10)
     # and a move off or onto a drifted factor builds the new cluster
     # from its Gram block, for the cluster left as for the one joined
     pair = (1, 6)
@@ -391,16 +449,16 @@ def test_failed_sweep_rolls_back_completely(monkeypatch):
     for sweep in range(8):
         if sweep in (1, 4):
             chain = state.chain
-            grown = chain.grown
+            weights = sampler._Scan.weights
             calls = []
 
-            def failing(i, *args):
+            def failing(scan, i, *args):
                 calls.append(i)
                 if len(calls) == 13:
                     raise FloatingPointError("injected")
-                return grown(i, *args)
+                return weights(scan, i, *args)
 
-            monkeypatch.setattr(chain, "grown", failing)
+            monkeypatch.setattr(sampler._Scan, "weights", failing)
             factors = dict(chain.factors)
             with pytest.raises(FloatingPointError, match="injected"):
                 gibbs_sweep(state, data)
@@ -614,14 +672,16 @@ def test_failed_scan_after_a_stay_test_restores_the_rng(monkeypatch):
             break  # the stay test answered this sweep
     assert state.stay is stay
     chain = state.chain
-    grown = chain.grown
+    weights = sampler._Scan.weights
 
-    def failing(i, *args):
-        raise FloatingPointError("injected")
+    def failing(scan, i, *args):
+        if scan.chain is chain:
+            raise FloatingPointError("injected")
+        return weights(scan, i, *args)
 
-    # sweeps the stay test answers make no grown call; the first one it
-    # does not answer runs the scan, which fails
-    monkeypatch.setattr(chain, "grown", failing)
+    # sweeps the stay test answers weigh no point; the first one it does
+    # not answer runs the scan, which fails
+    monkeypatch.setattr(sampler._Scan, "weights", failing)
     for _ in range(300):
         stay = state.stay
         assert _valid(stay, state)
@@ -636,7 +696,7 @@ def test_failed_scan_after_a_stay_test_restores_the_rng(monkeypatch):
     assert state.rng.bit_generator.state == rng_state
     assert state.labels == labels
     assert state.stay is None
-    monkeypatch.setattr(chain, "grown", grown)
+    monkeypatch.setattr(sampler._Scan, "weights", weights)
     for _ in range(5):
         gibbs_sweep(state, data)
         gibbs_sweep(ref, data)
