@@ -24,15 +24,14 @@ marginal that cluster already holds.
 A sweep that moves no point leaves the partition and every weight as
 they were, so the next sweep differs only in its uniforms.  Such a sweep
 records, for each point, the interval of its own cluster on its
-cumulative weight scale; the next sweep draws all n uniforms at once and,
-if every point falls inside its interval, it is answered by that one
-vectorised stay test, O(n) numpy work, with no weight evaluated.  This
-is the scalar rule exactly, given the weights of the recorded sweep.
-run_chain tests a run of upcoming sweeps the same way, drawing the
-uniforms of up to _BLOCK // n sweeps in one call and giving back those
-from the first sweep that moves a point on; the sweeps of such a run
-share one label tuple in label_trace.  A scanned sweep that moves no
-point leaves log_ml as it found it, so its record stays valid.
+cumulative weight scale.  run_chain then stay-tests the upcoming sweeps
+against the record: it draws the uniforms of up to _BLOCK // n sweeps in
+one call, and a sweep in which every point falls inside its interval is
+answered by that vectorised test, O(n) numpy work, with no weight
+evaluated.  This is the scalar rule exactly, given the weights of the
+recorded sweep.  The uniforms from the first sweep that moves a point on
+are given back and that sweep is scanned; the sweeps of an answered run
+share one label tuple in label_trace.  gibbs_sweep itself always scans.
 
 References
 ----------
@@ -62,13 +61,7 @@ from .niw import (
 )
 from .partition import CrpPrior
 
-__all__ = [
-    "SamplerState",
-    "PosteriorSummary",
-    "init_state",
-    "gibbs_sweep",
-    "run_chain",
-]
+__all__ = ["PosteriorSummary", "run_chain"]
 
 _SCHUR_FLOOR = 1.0 - 1e-10
 
@@ -172,19 +165,20 @@ class _ChainCache:
     ``pair``: pair[i, j] is the log marginal of {i, j}, in closed form
     from its 2 x 2 Gram block.  The table costs n^2 floats, as G does.
 
-    ``move`` updates the factors of both clusters as soon as a point
-    changes cluster.  A cluster with no entry (a fresh pair, or each
-    cluster of a rebuilt chain) is built from its Gram block on first
-    use, and one whose update drifted is rebuilt from it.  Entries are
-    never mutated, so copying the dict snapshots the store.
+    ``_changed`` returns the update it scored, and ``_Scan.place``
+    applies it when the point moves.  A cluster with no entry (a fresh
+    pair, or each cluster of a rebuilt chain) is built from its Gram
+    block on first use, and one whose update drifted is rebuilt from it.
+    Entries are never mutated, so copying the dict snapshots the store.
     """
 
     def __init__(self, data: np.ndarray, prior: NiwPrior):
         self.data = data
         self.gram = gram_matrix(transform_data(data, prior))
-        # log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1
+        # log marginal of nh points from log|I + G_c| and 1^T (I + G_c)^-1 1;
+        # sizes up to 2 at least, for the pair table
         self._value = partial(
-            dual_log_marginal, size_constants(prior, data.shape[0]), prior
+            dual_log_marginal, size_constants(prior, max(data.shape[0], 2)), prior
         )
         self._diag = self.gram.diagonal().copy()
         one = 1.0 + self._diag
@@ -243,17 +237,6 @@ class _ChainCache:
             f = self.factors[idx] = self._build(idx)
         return f
 
-    def move(self, i: int, members: tuple, rest: tuple, target: tuple, key: tuple):
-        """Update the factors: i left members (now rest) and joined target (now
-        key).  A drifted update is rebuilt from the new cluster's Gram block."""
-        for old, new, step in ((members, rest, self._deletion),
-                               (target, key, self._border)):
-            f = self.factors.pop(old, None)
-            if f is not None and len(new) > 1:
-                out = step(f, i)
-                drifted = _drifted(out.schur)
-                self.factors[new] = self._build(new) if drifted else out.applied()
-
     # ------------------------------------------------------- marginals
 
     def log_marginal(self, idx: tuple) -> float:
@@ -263,10 +246,11 @@ class _ChainCache:
         f = self._factor(idx)
         return float(self._value(len(idx), f.log_det, f.s))
 
-    def _changed(self, idx: tuple, step, i: int, size: int) -> float:
-        """Log marginal of current cluster idx with i appended or deleted
-        (step is _border or _deletion); size is the new cluster's.  A
-        drifted factor is rebuilt from its Gram block once."""
+    def _changed(self, idx: tuple, step, i: int, size: int) -> tuple:
+        """(log marginal, update) of current cluster idx with i appended or
+        deleted: step is _border or _deletion, and update the _Border or
+        _Deletion it returned.  size is the new cluster's.  A drifted factor
+        is rebuilt from its Gram block once."""
         out = step(self._factor(idx), i)
         if _drifted(out.schur):
             f = self.factors[idx] = self._build(idx)
@@ -275,7 +259,7 @@ class _ChainCache:
                 raise NotPositiveDefinite(
                     f"Schur complement {out.schur} in a cluster of {len(idx)}"
                 )
-        return float(self._value(size, *out.totals()))
+        return float(self._value(size, *out.totals())), out
 
 
 class _Scan:
@@ -290,6 +274,9 @@ class _Scan:
     below ``new``, the new-cluster slot.  Its size is 1, so that the
     candidates, size.nonzero()[0], are the current labels, sorted, and
     then it; they are kept until some cluster appears or empties.
+    updates maps the label of each cluster whose factor the last
+    ``weights`` call updated (i's own and each larger candidate) to that
+    update, for ``place`` to apply.
     """
 
     def __init__(self, chain: _ChainCache, clusters: dict, log_ml: dict, alpha: float):
@@ -323,6 +310,7 @@ class _Scan:
         chain = self.chain
         size = int(self.size[h])
         own = self.log_ml[h]
+        updates = self.updates = {}
         if size == 1:
             self.size[h] = 0
             self.cands = None
@@ -334,7 +322,9 @@ class _Scan:
             self.log_ml[h] = chain.single[j]
         else:
             self.size[h] = size - 1
-            self.log_ml[h] = chain._changed(self.clusters[h], chain._deletion, i, size - 1)
+            self.log_ml[h], updates[h] = chain._changed(
+                self.clusters[h], chain._deletion, i, size - 1
+            )
         if self.cands is None:
             self.cands = self.size.nonzero()[0]
         cands = self.cands
@@ -344,7 +334,8 @@ class _Scan:
             if lab != h:
                 k = cands.searchsorted(lab)
                 idx = self.clusters[lab]
-                value[k] = v = chain._changed(idx, chain._border, i, len(idx) + 1)
+                v, updates[lab] = chain._changed(idx, chain._border, i, len(idx) + 1)
+                value[k] = v
                 log_w[k] = log(len(idx)) + v - self.log_ml[lab]
         if size == 1:
             home = cands.size - 1
@@ -358,7 +349,10 @@ class _Scan:
 
     def place(self, i: int, h: int, lab: int, value: float) -> None:
         """Put i, which weights took out of h, into cluster lab, whose log
-        marginal with i is value; lab may be h or a label naming no cluster."""
+        marginal with i is value; lab may be h or a label naming no cluster.
+        A move stores the factors of the updates weights computed for h and
+        lab; one whose Schur complement drifted is built from the new
+        cluster's Gram block instead."""
         if lab != h:
             clusters = self.clusters
             members = clusters[h]
@@ -377,7 +371,13 @@ class _Scan:
                 self.multi.add(lab)
             else:
                 self.first[lab] = i
-            self.chain.move(i, members, rest, target, key)
+            chain = self.chain
+            for old, new, c in ((members, rest, h), (target, key, lab)):
+                chain.factors.pop(old, None)
+                out = self.updates.pop(c, None)
+                if out is not None:
+                    drifted = _drifted(out.schur)
+                    chain.factors[new] = chain._build(new) if drifted else out.applied()
         if not self.size[lab]:
             self.cands = None
         self.size[lab] += 1
@@ -389,13 +389,10 @@ class _Stay(NamedTuple):
 
     Point i stayed because its scaled uniform fell in [lo[i], hi[i]) of
     the cumulative weights, whose total was tot[i].  The record holds for
-    the chain, CRP prior, labels and log_ml it was taken with.
+    the state the sweep left, until the next sweep moves a point; only
+    run_chain, which edits nothing in between, tests it.
     """
 
-    chain: _ChainCache
-    crp: CrpPrior
-    labels: list
-    log_ml: dict
     lo: np.ndarray
     hi: np.ndarray
     tot: np.ndarray
@@ -403,16 +400,13 @@ class _Stay(NamedTuple):
     def count(self, state, limit: int) -> int:
         """Answer up to limit upcoming sweeps of state in which every point stays.
 
-        Returns the number answered, 0 if the record no longer matches the
-        state (same chain and CRP prior, equal labels and log_ml).  Those
-        sweeps advance sweep_index, and the RNG is left after their
-        uniforms.  The uniforms of up to _BLOCK // n sweeps are drawn in
-        one call; the rows from the first sweep that moves a point on are
-        given back, so the scan that follows draws that sweep's itself.
+        Returns the number answered.  Those sweeps advance sweep_index, and
+        the RNG is left after their uniforms.  The uniforms of up to
+        _BLOCK // n sweeps are drawn in one call.  At the first sweep that
+        moves a point, its rows and those after are given back and the
+        record is dropped from state, so the scan that follows draws that
+        sweep's uniforms itself.
         """
-        if not (self.chain is state.chain and self.crp is state.crp
-                and self.labels == state.labels and self.log_ml == state.log_ml):
-            return 0
         rng = state.rng
         n = self.tot.size
         done = 0
@@ -426,6 +420,7 @@ class _Stay(NamedTuple):
                 rng.bit_generator.state = before
                 rng.random(j * n)
                 done += j
+                state.stay = None
                 break
             done += rows
         state.sweep_index += done
@@ -439,7 +434,8 @@ class SamplerState:
     labels holds one positive integer per observation (canonical 1..k
     at sweep boundaries), clusters maps each label to its sorted member
     index tuple, and log_ml caches each cluster's log marginal.  stay is
-    the stay-test record of the last sweep if it moved no point.
+    the stay-test record of the last sweep if it moved no point; only
+    run_chain reads it.
     """
 
     labels: list
@@ -511,14 +507,16 @@ def init_state(
     )
 
 
-def _canonicalize(state: SamplerState) -> None:
+def _canonicalize(state: SamplerState, log_ml: list) -> None:
+    """Relabel state 1..k in order of first appearance; log_ml is indexed
+    by the labels before."""
     remap = {}
     for lab in state.labels:
         if lab not in remap:
             remap[lab] = len(remap) + 1
     state.labels = [remap[lab] for lab in state.labels]
+    state.log_ml = {remap[lab]: log_ml[lab] for lab in state.clusters}
     state.clusters = {remap[lab]: idx for lab, idx in state.clusters.items()}
-    state.log_ml = {remap[lab]: v for lab, v in state.log_ml.items()}
 
 
 def gibbs_sweep(state: SamplerState, data) -> SamplerState:
@@ -530,13 +528,10 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     sweep draws what the failed one would have.  Labels are canonical
     on return.
 
-    The sweep draws its n uniforms, one a point, in one call.  If the
-    last sweep moved no point and left a stay record that still matches
-    the state (same chain and CRP prior, equal labels and log_ml), the
-    record's stay test (``_Stay.count`` with a limit of one) runs first:
-    when every point would stay, the sweep returns with nothing else
-    changed.  Otherwise the test gives its uniforms back and the scan
-    below draws the same ones.
+    The sweep draws its n uniforms, one a point, in one call, and scans
+    every point: a direct loop of gibbs_sweep calls scans every sweep.  A
+    sweep that moves no point leaves a stay record in state.stay (else
+    None), which only run_chain tests.
 
     The scan fills a ``_Scan`` of the partition at entry.  For each point
     in turn, ``_Scan.weights`` gives the log weights of its candidates,
@@ -556,8 +551,6 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     chain = state.chain
     if chain is None or (chain.data is not data and not np.array_equal(chain.data, data)):
         chain = state.chain = _ChainCache(data, state.prior)
-    if state.stay is not None and state.stay.count(state, 1):
-        return state
     state.stay = None
     labels = state.labels
     n = len(labels)
@@ -602,14 +595,9 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
         (state.labels, state.clusters, state.log_ml, chain.factors,
          state.rng.bit_generator.state) = snapshot
         raise
-    log_ml = scan.log_ml.tolist()
-    state.log_ml = {lab: log_ml[lab] for lab in state.clusters}
-    _canonicalize(state)
+    _canonicalize(state, scan.log_ml.tolist())
     if not moved:
-        state.stay = _Stay(
-            chain, state.crp, list(state.labels), dict(state.log_ml),
-            *np.array(bounds).T,
-        )
+        state.stay = _Stay(*np.array(bounds).T)
     state.sweep_index += 1
     return state
 
@@ -643,8 +631,9 @@ def run_chain(
 
     A settled chain's sweeps are answered in runs by ``_Stay.count``, with
     the outputs of a scan on every sweep; the sweeps of one run share one
-    label tuple in label_trace.  With debug, the caches are checked after
-    each run and each scanned sweep.
+    label tuple in label_trace.  A sweep the test does not answer is
+    scanned by gibbs_sweep without being tested again.  With debug, the
+    caches are checked after each run and each scanned sweep.
     """
     if burnin < 0 or sweeps <= burnin:
         raise InvalidConfig(f"need sweeps > burnin >= 0, got {sweeps}, {burnin}")

@@ -323,6 +323,15 @@ def test_empty_input_exits_4(tmp_path, capsys):
         assert "holds no data rows" in capsys.readouterr().err
 
 
+def test_one_row_input_clusters(tmp_path, capsys):
+    one = tmp_path / "one.csv"
+    one.write_text("0.5,-1.0,2.0\n")
+    out = tmp_path / "fit"
+    assert main(["cluster", "--input", str(one), "--outdir", str(out)]) == 0
+    assert "cluster n=1 p=3 k_mode=1" in capsys.readouterr().out
+    assert read_csv(out / "co_clustering.csv").values.tolist() == [[1.0]]
+
+
 def test_replot_needs_recognizable_header(tmp_path):
     bare = tmp_path / "bare.csv"
     bare.write_text("1,2\n3,4\n")

@@ -106,6 +106,18 @@ def test_init_modes():
         init_state(data[0], prior, crp, 0)
 
 
+@pytest.mark.parametrize("init", ["single", "singletons"])
+def test_one_row_chain(init):
+    # one observation: one cluster on every sweep (the pair table's size
+    # constants reach size 2 even at n = 1)
+    data = np.array([[0.5, -1.0, 2.0]])
+    out = run_chain(data, NiwPrior(np.zeros(3), 1.0, 5.0, 1.0), CrpPrior(1.0),
+                    sweeps=10, burnin=2, seed=0, init=init)
+    assert out.k_mode == 1
+    assert out.k_trace == (1,) * 10
+    assert out.co_clustering.tolist() == [[1.0]]
+
+
 def test_run_chain_rejects_bad_sweep_counts():
     data = np.zeros((3, 2)) + np.eye(3, 2)
     prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
@@ -235,7 +247,7 @@ def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
         members = state.clusters[h]
         if len(members) > 2:
             rest = tuple(j for j in members if j != i)
-            value = chain._changed(members, chain._deletion, i, len(rest))
+            value, _ = chain._changed(members, chain._deletion, i, len(rest))
             assert value == pytest.approx(_direct(data, prior, rest), rel=1e-8)
             checked += 1
         labs = [lab for lab in state.clusters if lab != h]
@@ -361,7 +373,7 @@ def test_drifted_factor_is_rebuilt():
     # (A^-1)_ii = 2 means a Schur complement of 1/2 < 1: drift
     chain.factors[members] = good._replace(inv=2.0 * np.eye(4))
     rest = (0, 2, 5)
-    value = chain._changed(members, chain._deletion, 3, 3)
+    value, _ = chain._changed(members, chain._deletion, 3, 3)
     assert value == pytest.approx(_direct(data, prior, rest), rel=1e-10)
     assert np.allclose(chain.factors[members].inv, good.inv)
     # a non-finite factor is drift too, for a grow as for a removal
@@ -372,18 +384,67 @@ def test_drifted_factor_is_rebuilt():
     cands, values, _, _ = scan.weights(7, 2)
     assert cands[0] == 1
     assert values[0] == pytest.approx(_direct(data, prior, key), rel=1e-10)
-    # and a move off or onto a drifted factor builds the new cluster
+    # and a move that applies a drifted update builds the new cluster
     # from its Gram block, for the cluster left as for the one joined
     pair = (1, 6)
-    chain.factors = {
-        members: nan_factor,
-        pair: chain._build(pair)._replace(inv=np.full((2, 2), np.nan)),
-    }
-    chain.move(3, members, rest, pair, (1, 3, 6))
+    nan_pair = chain._build(pair)._replace(inv=np.full((2, 2), np.nan))
+    chain.factors = {members: nan_factor, pair: nan_pair}
+    scan = sampler._Scan(chain, {1: members, 2: pair}, {1: 0.0, 2: 0.0}, 1.0)
+    cands, values, _, _ = scan.weights(3, 1)
+    scan.updates = {1: chain._deletion(nan_factor, 3), 2: chain._border(nan_pair, 3)}
+    scan.place(3, 1, 2, values[cands.searchsorted(2)])
     assert set(chain.factors) == {rest, (1, 3, 6)}
     for idx, f in chain.factors.items():
         ref = chain._build(idx)
         assert all(np.array_equal(a, b) for a, b in zip(f, ref))
+
+
+def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
+    # place stores the applied factors of the updates weights kept, bit for
+    # bit, and scores no append or deletion of its own
+    data, prior = _mixing_problem()
+    chain_cls = sampler._ChainCache
+    border, deletion = chain_cls._border, chain_cls._deletion
+    place = sampler._Scan.place
+    inside = []  # appends and deletions scored inside place
+    applied = 0
+    in_place = False
+
+    def spy(step):
+        def wrapper(*args):
+            if in_place:
+                inside.append(step.__name__)
+            return step(*args)
+        return wrapper
+
+    def placing(scan, i, h, lab, value):
+        nonlocal applied, in_place
+        expected = []
+        if lab != h:
+            for c in (h, lab):
+                out = scan.updates.get(c)
+                if out is not None:
+                    assert not sampler._drifted(out.schur)
+                    expected.append(out.applied())
+        in_place = True
+        try:
+            place(scan, i, h, lab, value)
+        finally:
+            in_place = False
+        for f in expected:
+            stored = scan.chain.factors[tuple(sorted(f.order.tolist()))]
+            assert all(np.array_equal(a, b) for a, b in zip(stored, f))
+            applied += 1
+
+    monkeypatch.setattr(chain_cls, "_border", spy(border))
+    monkeypatch.setattr(chain_cls, "_deletion", staticmethod(spy(deletion)))
+    monkeypatch.setattr(sampler._Scan, "place", placing)
+    state = init_state(data, prior, CrpPrior(1.0), 4, init="single")
+    for _ in range(20):
+        gibbs_sweep(state, data)
+    state.check_consistency(data)
+    assert not inside, inside
+    assert applied > 100, applied
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -529,14 +590,10 @@ def _settled(data, prior, seed):
     raise AssertionError("the chain did not settle")
 
 
-def _valid(stay, state):
-    return (stay is not None and stay.chain is state.chain and stay.crp is state.crp
-            and stay.labels == state.labels and stay.log_ml == state.log_ml)
-
-
 def test_stay_test_matches_scalar_sweeps():
-    # each chain has a twin without a stay record, so every twin sweep is
-    # a scalar scan; both must agree bit for bit after every sweep
+    # a hand loop answers a sweep by the stay test when it can and scans it
+    # otherwise; its twin scans every sweep, and both must agree bit for
+    # bit after every sweep
     data, prior = _stay_problem()
     answered = moved = 0
     for seed in range(5):
@@ -544,19 +601,19 @@ def test_stay_test_matches_scalar_sweeps():
         twin = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
         for _ in range(300):
             stay = state.stay
-            valid = _valid(stay, state)
-            gibbs_sweep(state, data)
-            twin.stay = None
+            if stay is not None and stay.count(state, 1):
+                assert state.stay is stay
+                answered += 1
+            else:
+                gibbs_sweep(state, data)
+                if stay is not None:
+                    assert state.stay is None  # the scan moved a point
+                    moved += 1
             gibbs_sweep(twin, data)
             assert state.labels == twin.labels
             assert state.log_ml == twin.log_ml
             assert state.rng.bit_generator.state == twin.rng.bit_generator.state
             assert state.sweep_index == twin.sweep_index
-            if stay is not None and state.stay is stay:
-                answered += 1
-            elif valid:
-                assert state.stay is None  # the scan that followed moved a point
-                moved += 1
         state.check_consistency(data)
     assert answered > 100 and moved > 100, (answered, moved)
 
@@ -569,8 +626,7 @@ def test_scan_that_moves_no_point_keeps_log_ml():
     still = with_pair = 0
     for seed in range(5):
         state = init_state(data, prior, CrpPrior(0.3), seed, init="singletons")
-        for _ in range(300):
-            state.stay = None  # every sweep is a scan
+        for _ in range(300):  # every gibbs_sweep is a scan
             labels, log_ml = list(state.labels), dict(state.log_ml)
             gibbs_sweep(state, data)
             if state.stay is not None:
@@ -628,8 +684,8 @@ def _new_crp(state, data):
 @pytest.mark.parametrize("edit", [_move_by_hand, _new_data, _new_crp])
 def test_edited_state_invalidates_the_stay_record(edit):
     # the record of the last sweep would answer the next one, but the
-    # state has changed since: the sweep must be the scan of a state
-    # without a record
+    # state has changed since; gibbs_sweep ignores any record, so the sweep
+    # is the scan of a state without one
     data, prior = _stay_problem()
     state = _answered_next(data, prior, 1)
     data = edit(state, data)
@@ -661,38 +717,34 @@ def test_non_finite_log_marginal_after_a_stay_record_rolls_back():
 
 
 def test_failed_scan_after_a_stay_test_restores_the_rng(monkeypatch):
+    # a count answers some sweeps and stops short at one that moves a
+    # point; the scan of that sweep fails and leaves the RNG where the
+    # count left it, so the retried scan draws the same uniforms
     data, prior = _stay_problem()
     ref = _settled(data, prior, 2)
     state = _settled(data, prior, 2)
     for _ in range(300):
-        stay = state.stay
-        gibbs_sweep(state, data)
-        gibbs_sweep(ref, data)
-        if stay is not None and state.stay is stay:
-            break  # the stay test answered this sweep
-    assert state.stay is stay
-    chain = state.chain
+        done = 0 if state.stay is None else state.stay.count(state, 300)
+        for _ in range(done):
+            gibbs_sweep(ref, data)  # a scan of an answered sweep moves no point
+        if done and state.stay is None:
+            break
+        if not done:
+            gibbs_sweep(state, data)
+            gibbs_sweep(ref, data)
+    assert done and state.stay is None
+    assert state.labels == ref.labels
+    rng_state = state.rng.bit_generator.state
+    assert rng_state == ref.rng.bit_generator.state
+    labels = list(state.labels)
     weights = sampler._Scan.weights
 
     def failing(scan, i, *args):
-        if scan.chain is chain:
-            raise FloatingPointError("injected")
-        return weights(scan, i, *args)
+        raise FloatingPointError("injected")
 
-    # sweeps the stay test answers weigh no point; the first one it does
-    # not answer runs the scan, which fails
     monkeypatch.setattr(sampler._Scan, "weights", failing)
-    for _ in range(300):
-        stay = state.stay
-        assert _valid(stay, state)
-        rng_state = state.rng.bit_generator.state
-        labels = list(state.labels)
-        try:
-            gibbs_sweep(state, data)
-        except FloatingPointError:
-            break
-        assert state.stay is stay
-        gibbs_sweep(ref, data)
+    with pytest.raises(FloatingPointError, match="injected"):
+        gibbs_sweep(state, data)
     assert state.rng.bit_generator.state == rng_state
     assert state.labels == labels
     assert state.stay is None
@@ -706,14 +758,13 @@ def test_failed_scan_after_a_stay_test_restores_the_rng(monkeypatch):
 
 
 def _scanned_summary(data, prior, seed, sweeps, burnin):
-    """run_chain's summary from a hand loop of scans: the stay record is
-    cleared before every sweep."""
+    """run_chain's summary from a hand loop of gibbs_sweep, which scans
+    every sweep."""
     state = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
     n = len(state.labels)
     co = np.zeros((n, n))
     k_trace, kept = [], []
     for sweep in range(sweeps):
-        state.stay = None
         gibbs_sweep(state, data)
         k_trace.append(state.k())
         if sweep >= burnin:
@@ -762,7 +813,8 @@ def test_block_stay_tests_equal_per_sweep_scans(monkeypatch, rows):
 
 def test_stay_count_rewinds_the_rng():
     # after count returns j the generator is where a twin is after j * n
-    # draws, and sweep_index has moved by j; a count of 0 changes nothing
+    # draws, and sweep_index has moved by j; a count that stops short of
+    # its limit drops the record, and one that reaches it keeps it
     data, prior = _stay_problem()
     n = len(data)
     seen = set()
@@ -773,20 +825,51 @@ def test_stay_count_rewinds_the_rng():
             if stay is None:
                 gibbs_sweep(state, data)
                 continue
-            stale = stay._replace(labels=stay.labels[::-1])
-            for record, limit in ((stale, 300), (stay, 1), (stay, 2), (stay, 300)):
+            for limit in (1, 2, 300):
                 twin = np.random.default_rng()
                 twin.bit_generator.state = state.rng.bit_generator.state
                 index = state.sweep_index
-                done = record.count(state, limit)
+                done = stay.count(state, limit)
                 twin.random(done * n)
                 assert 0 <= done <= limit
                 assert state.rng.bit_generator.state == twin.bit_generator.state
                 assert state.sweep_index == index + done
-                seen.add((record is stay, done > 0, done == limit))
+                assert (state.stay is stay) == (done == limit)
+                seen.add((done > 0, done == limit))
+                state.stay = stay  # nothing has moved, so the record still holds
             gibbs_sweep(state, data)
-    assert seen >= {(False, False, False), (True, False, False),
-                    (True, True, True), (True, True, False)}, seen
+    assert seen >= {(False, False), (True, True), (True, False)}, seen
+
+
+def test_run_chain_stay_tests_each_sweep_once(monkeypatch):
+    # the sweeps each count tests: those it answers and the one it stopped
+    # at; a sweep the test does not answer is scanned without a second test
+    data, prior = _stay_problem()
+    tested = []  # (chain seed, sweep index) of each stay-tested sweep
+    scanning = []  # nonempty inside gibbs_sweep
+    count, sweep = sampler._Stay.count, sampler.gibbs_sweep
+
+    def counted(self, state, limit):
+        assert not scanning, "gibbs_sweep called _Stay.count"
+        start = state.sweep_index
+        done = count(self, state, limit)
+        stop = start + done + 1 + (done < limit)
+        tested.extend((seed, j) for j in range(start + 1, stop))
+        return done
+
+    def swept(state, data):
+        scanning.append(True)
+        try:
+            return sweep(state, data)
+        finally:
+            scanning.pop()
+
+    monkeypatch.setattr(sampler._Stay, "count", counted)
+    monkeypatch.setattr(sampler, "gibbs_sweep", swept)
+    for seed in range(5):
+        run_chain(data, prior, CrpPrior(1.0), sweeps=300, burnin=0, seed=seed,
+                  init="singletons")
+    assert len(tested) == len(set(tested)) > 300, len(tested)
 
 
 def test_debug_checks_after_each_block_and_scan(monkeypatch):
