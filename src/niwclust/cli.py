@@ -14,6 +14,13 @@ CSV starts with a metadata comment line (version, full config, seed,
 generator name) and every SVG is a pure function of its CSV, so replot
 reproduces plots byte-identically.  Exit codes: 0 ok, 2 config error,
 3 numeric failure, 4 I/O failure.
+
+limits and projector run their replicates on a thread pool: numpy
+releases the GIL while it fills and reduces their large arrays.  sweep
+runs its chains on a pool of forked processes: a short chain is Python
+bytecode that holds the GIL, so threads would only take turns.  Both
+pools have one worker per usable CPU and return results in task order,
+so the outputs are byte-identical at any CPU count.
 """
 
 import argparse
@@ -190,6 +197,14 @@ def _median_ari(summary: PosteriorSummary, truth: Partition) -> float:
     return float(np.median([score[lab] for lab in trace]))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _replicate_pool(replicates: int):
     """A thread pool for the replicates of one command, one per usable CPU.
 
@@ -197,15 +212,12 @@ def _replicate_pool(replicates: int):
     reduces large arrays without holding the GIL, so the replicates of
     limits and projector overlap; pool.map returns them in replicate
     order, which keeps every output byte-identical to a serial run.
+    sweep's chains hold the GIL and run on processes (see cmd_sweep).
     """
     # imported here: at module level it adds about 5% to CLI start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=min(replicates, cpus))
+    return ThreadPoolExecutor(max_workers=min(replicates, _usable_cpus()))
 
 
 def _write_outputs(cfg: argparse.Namespace, name: str, rows) -> None:
@@ -314,53 +326,79 @@ def _plot_projector(table: CsvTable) -> str:
 # ----------------------------------------------------------------- sweep
 
 
-def cmd_sweep(cfg: argparse.Namespace) -> None:
-    crp = CrpPrior(cfg.alpha)
+def _sweep_chain(cfg: argparse.Namespace, gi: int, p: int, kind: str, chain: int) -> list:
+    """The sweep.csv row of one chain from singletons on its own mixture.
+
+    Module-level so that a pool worker can run it.  It builds the prior
+    from (kind, p) itself, so a task ships scalars, not a p-vector.
+    """
     n = cfg.n1 + cfg.n2
-    rows = []
-    for gi, p in enumerate(cfg.p_grid):
-        for naive_flag, kind in ((0, "robust"), (1, "naive")):
-            prior = _resolve_prior(cfg, kind, p)
-            degenerate = []
-            for chain in range(cfg.replicates):
-                data, truth = generate(
-                    GenSpec(
-                        kind="two_cluster_mixture",
-                        n=n,
-                        p=p,
-                        separation=_SWEEP_SEPARATION,
-                        seed=_derived_seed(cfg.seed, gi, chain),
-                    )
-                )
-                summary = run_chain(
-                    data,
-                    prior,
-                    crp,
-                    sweeps=cfg.sweeps,
-                    burnin=cfg.burnin,
-                    seed=_derived_seed(cfg.seed, gi, chain, 1),
-                    init="singletons",
-                )
-                ks = np.asarray(summary.k_trace[cfg.burnin :])
-                frac_k1 = float(np.mean(ks == 1))
-                frac_kn = float(np.mean(ks == n))
-                rows.append(
-                    [
-                        p,
-                        naive_flag,
-                        chain,
-                        frac_k1,
-                        frac_kn,
-                        frac_k1 + frac_kn,
-                        summary.k_mode,
-                        _median_ari(summary, truth),
-                    ]
-                )
-                degenerate.append(frac_k1 + frac_kn)
-            print(
-                f"sweep p={p} prior={kind} "
-                f"degenerate_frac_median={np.median(degenerate):.6g}"
-            )
+    data, truth = generate(
+        GenSpec(
+            kind="two_cluster_mixture",
+            n=n,
+            p=p,
+            separation=_SWEEP_SEPARATION,
+            seed=_derived_seed(cfg.seed, gi, chain),
+        )
+    )
+    summary = run_chain(
+        data,
+        _resolve_prior(cfg, kind, p),
+        CrpPrior(cfg.alpha),
+        sweeps=cfg.sweeps,
+        burnin=cfg.burnin,
+        seed=_derived_seed(cfg.seed, gi, chain, 1),
+        init="singletons",
+    )
+    ks = np.asarray(summary.k_trace[cfg.burnin :])
+    frac_k1 = float(np.mean(ks == 1))
+    frac_kn = float(np.mean(ks == n))
+    return [
+        p,
+        int(kind == "naive"),
+        chain,
+        frac_k1,
+        frac_kn,
+        frac_k1 + frac_kn,
+        summary.k_mode,
+        _median_ari(summary, truth),
+    ]
+
+
+def cmd_sweep(cfg: argparse.Namespace) -> None:
+    """Run the chains on a process pool, one forked worker per usable CPU.
+
+    A short chain is Python bytecode from end to end and holds the GIL,
+    so threads would only take turns; worker processes run chains side
+    by side.  Fork, not spawn: a forked worker inherits the loaded
+    package instead of importing it again, and the command runs no
+    thread of its own when it forks.  Each chain derives its data
+    and seeds from (seed, grid index, chain) alone, and pool.map returns
+    the rows in task order, so every output is byte-identical to a
+    serial run at any CPU count.
+    """
+    # imported here, as for the thread pool, off every command's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    groups = [(gi, p, kind) for gi, p in enumerate(cfg.p_grid)
+              for kind in ("robust", "naive")]
+    tasks = [(*group, chain) for group in groups for chain in range(cfg.replicates)]
+    workers = min(len(tasks), _usable_cpus())
+    # a few chunks per worker: chains differ in cost, and each chunk
+    # costs a round trip to its worker
+    chunk = -(-len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        rows = list(pool.map(partial(_sweep_chain, cfg), *zip(*tasks), chunksize=chunk))
+    col = _SWEEP_COLUMNS.index("degenerate_frac")
+    for i, (_, p, kind) in enumerate(groups):
+        degenerate = [row[col] for row in rows[i * cfg.replicates : (i + 1) * cfg.replicates]]
+        print(
+            f"sweep p={p} prior={kind} "
+            f"degenerate_frac_median={np.median(degenerate):.6g}"
+        )
     _write_outputs(cfg, "sweep", rows)
 
 

@@ -45,6 +45,11 @@ class ParseError(ValueError):
         else:
             super().__init__(f"row {row}, column {col}: cannot parse {text!r}")
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which here hold the
+        # message alone; a pool worker's error must reach the caller whole
+        return type(self), (self.row, self.col, self.text)
+
 
 class RaggedRows(ValueError):
     """CSV rows have inconsistent lengths."""

@@ -1,6 +1,7 @@
 """Command-line driver: outputs, determinism, exit codes."""
 
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -454,13 +455,14 @@ _NO_POOL_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import niwclust.cli
-assert "concurrent.futures" not in sys.modules, "importing niwclust.cli loaded it"
+for name in ("concurrent.futures", "multiprocessing"):
+    assert name not in sys.modules, f"importing niwclust.cli loaded {name}"
 """
 
 
 def test_import_loads_no_thread_pool():
-    # the replicate pool is imported when a command runs, keeping it off
-    # the start-up path of every command
+    # the thread and process pools are imported when a command runs,
+    # keeping them off the start-up path of every command
     src = Path(niwclust.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT, str(src)],
                           capture_output=True, text=True, timeout=120)
@@ -509,10 +511,60 @@ def test_rows_follow_replicate_order_not_finish_order(tmp_path, monkeypatch):
         assert _read_bytes(tmp_path / "slow" / name) == _read_bytes(tmp_path / "plain" / name)
 
 
-@pytest.mark.parametrize("command", ["limits", "projector"])
+def _sweep_chain_seed(chain):
+    """The run_chain seed of sweep chain `chain` at the first p, under --seed 0."""
+    return cli._derived_seed(0, 0, chain, 1)
+
+
+def test_sweep_rows_follow_chain_order_not_finish_order(tmp_path, monkeypatch, capsys):
+    args = ["sweep", "--p-grid", "30", "--replicates", "4", "--sweeps", "8",
+            "--burnin", "2"]
+    assert main(args + ["--outdir", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    real = cli.run_chain
+    first = _sweep_chain_seed(0)
+
+    def chain_0_finishes_last(*args, seed, **kwargs):
+        if seed == first:
+            time.sleep(0.3)
+        return real(*args, seed=seed, **kwargs)
+
+    # fork carries the patched run_chain into the workers
+    monkeypatch.setattr(cli, "run_chain", chain_0_finishes_last)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert main(args + ["--outdir", str(tmp_path / "slow")]) == 0
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().out == plain
+    for name in ("sweep.csv", "sweep.svg"):
+        assert _read_bytes(tmp_path / "slow" / name) == _read_bytes(tmp_path / "plain" / name)
+
+
+def test_failing_chain_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    real = cli.run_chain
+    third = _sweep_chain_seed(2)
+
+    def fail_at_chain_2(*args, seed, **kwargs):
+        if seed == third:
+            raise NotPositiveDefinite("injected failure in chain 2")
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chain", fail_at_chain_2)
+    out = tmp_path / "run"
+    assert main(["sweep", "--p-grid", "30,60", "--replicates", "6", "--sweeps", "8",
+                 "--burnin", "2", "--outdir", str(out)]) == 3
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert "numeric error: injected failure in chain 2" in captured.err
+    assert captured.out == ""
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "sweep.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["limits", "projector", "sweep"])
 def test_many_workers_match_one_worker(tmp_path, monkeypatch, command):
-    # more workers than cores and a short switch interval, so threads
-    # interleave often; each replicate owns its draws, so the bytes match
+    # more workers than cores and, for threads, a short switch interval,
+    # so workers interleave often; each replicate or chain owns its
+    # draws, so the bytes match
     args = [command, "--p-grid", "20,40", "--n1", "3", "--replicates", "8"]
     outputs = {}
     interval = sys.getswitchinterval()
