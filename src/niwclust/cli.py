@@ -43,9 +43,14 @@ from .errors import (
     RaggedRows,
 )
 from .io import CsvTable, read_csv, write_csv
-from .niw import NiwPrior, RobustPriorSpec, robust_prior, row_standardize
+from .niw import NiwPrior, RobustPriorSpec, robust_prior
 from .partition import CrpPrior, Partition, adjusted_rand_index
-from .ratio import analytic_limits, det_kappa_term_log, merge_log_ratio, projector_residual
+from .ratio import (
+    analytic_limits,
+    det_kappa_term_log,
+    projector_residual,
+    standardized_merge_log_ratio,
+)
 from .sampler import PosteriorSummary, run_chain
 from .svg import line_plot
 
@@ -212,7 +217,10 @@ def _replicate_pool(replicates: int):
     reduces large arrays without holding the GIL, so the replicates of
     limits and projector overlap; pool.map returns them in replicate
     order, which keeps every output byte-identical to a serial run.
-    sweep's chains hold the GIL and run on processes (see cmd_sweep).
+    A limits replicate scores its draw in place and a projector
+    replicate reads it, so a worker holds one n x p block at a time,
+    plus n x p bytes while the block is checked finite.  sweep's chains
+    hold the GIL and run on processes (see cmd_sweep).
     """
     # imported here: at module level it adds about 5% to CLI start-up
     from concurrent.futures import ThreadPoolExecutor
@@ -239,15 +247,15 @@ def _write_svg(path: str, text: str) -> None:
 def cmd_limits(cfg: argparse.Namespace) -> None:
     spec = RobustPriorSpec(cfg.c1, cfg.c2)
     limits = analytic_limits(spec, cfg.n1, cfg.n2)
-    part = Partition([1] * cfg.n1 + [2] * cfg.n2)
     crp = CrpPrior(cfg.alpha)
     consts = [limits.gamma_limit, limits.kappa_limit, limits.det_kappa_limit,
               limits.total_limit]
 
     def replicate(gi, prior, rep):
+        # the draw is scored in place: one n x p block per worker
         rng = np.random.default_rng([cfg.seed, gi, rep])
-        data = row_standardize(rng.standard_normal((cfg.n1 + cfg.n2, prior.p)))
-        return merge_log_ratio(data, part, 1, 2, prior, crp)
+        y = rng.standard_normal((cfg.n1 + cfg.n2, prior.p))
+        return standardized_merge_log_ratio(y, cfg.n1, prior, crp)
 
     rows = []
     with _replicate_pool(cfg.replicates) as pool:

@@ -244,8 +244,8 @@ def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     rows, an integer index array, selects the rows to transform, in its
     order; the result equals ``transform_data(y, prior)[rows]`` bit for
     bit.  Only the selected rows (all of y by default) are copied, once,
-    then centered and scaled in place, so the call holds one copy of
-    them.  y itself is never modified.
+    then centered and scaled in place by :func:`_transform_rows`, so the
+    call holds one copy of them.  y itself is never modified.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -256,10 +256,16 @@ def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     # np.take always copies; it refuses a slice, whose view the
     # in-place steps would write through to y
     out = y.copy() if rows is None else np.take(y, rows, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out -= prior.mu0
-        out /= np.sqrt(prior.lambda0)
+    _transform_rows(out, prior)
     return out
+
+
+def _transform_rows(y: NDArray[np.float64], prior: NiwPrior) -> None:
+    """Overwrite the float rows y with (y - mu0) / sqrt(lambda0), the
+    body of :func:`transform_data`, which leaves the checks to its caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y -= prior.mu0
+        y /= np.sqrt(prior.lambda0)
 
 
 def _overflow(i: int, rows, matrix: str) -> DomainError:
@@ -478,9 +484,9 @@ def row_standardize(y) -> NDArray[np.float64]:
     """Center and scale each row to mean 0 and sample variance 1.
 
     The variance divisor is p - 1, so every output row satisfies
-    sum_j y_ij^2 = p - 1.  The result is the one full-size array made:
-    the sums of squares are taken a row at a time and the scaling is in
-    place, so peak memory is about one copy of y plus one row.
+    sum_j y_ij^2 = p - 1.  y is copied once, and
+    :func:`_standardize_rows` works on the copy in place, so peak memory
+    is about one copy of y plus one row.  y itself is never modified.
 
     Raises
     ------
@@ -489,18 +495,30 @@ def row_standardize(y) -> NDArray[np.float64]:
     DomainError
         If p < 2 (sample variance needs two entries).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
-    if y.shape[1] < 2:
+    out = np.array(y, dtype=float)
+    if out.ndim == 1:
+        out = out[None, :]
+    _standardize_rows(out)
+    return out
+
+
+def _standardize_rows(y: NDArray[np.float64]) -> None:
+    """Row-standardize the 2-d float array y in place, the body of
+    :func:`row_standardize`; it raises as that function documents.
+
+    Besides y it holds one row: the sums of squares are taken a row at
+    a time in one buffer, each the same pairwise sum that
+    (y**2).sum(axis=1) takes, so the result is bit-identical to the
+    two-pass formula.
+    """
+    p = y.shape[1]
+    if p < 2:
         raise DomainError("row standardization needs p >= 2")
-    centered = y - y.mean(axis=1, keepdims=True)
-    # one row's square at a time; each row sum is the same pairwise sum
-    # that (centered**2).sum(axis=1) takes, so the result is bit-identical
-    sumsq = np.array([(r * r).sum() for r in centered])
-    sd = np.sqrt(sumsq / (y.shape[1] - 1))
+    y -= y.mean(axis=1, keepdims=True)
+    buf = np.empty(p)
+    sumsq = np.array([np.multiply(r, r, out=buf).sum() for r in y])
+    sd = np.sqrt(sumsq / (p - 1))
     bad = np.flatnonzero(~(sd > 0))
     if bad.size:
         raise ConstantRow(f"row {bad[0]} has zero sample variance")
-    centered /= sd[:, None]
-    return centered
+    y /= sd[:, None]

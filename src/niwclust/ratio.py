@@ -24,6 +24,8 @@ from .errors import DomainError
 from .niw import (
     NiwPrior,
     RobustPriorSpec,
+    _standardize_rows,
+    _transform_rows,
     check_finite,
     check_nu0,
     gram_matrix,
@@ -38,6 +40,7 @@ __all__ = [
     "MergeRatioBreakdown",
     "TermLimits",
     "merge_log_ratio",
+    "standardized_merge_log_ratio",
     "gamma_term_log",
     "kappa_term_log",
     "det_kappa_term_log",
@@ -194,7 +197,8 @@ def merge_log_ratio(
     Parameters
     ----------
     data : (n, p) array_like
-        All observations; the partition indexes its rows.
+        All observations; the partition indexes its rows.  data itself
+        is never modified.
     part : Partition
     h1, h2 : int
         Labels of the clusters whose merge is evaluated.
@@ -218,34 +222,91 @@ def merge_log_ratio(
     p = data.shape[1]
     if p != prior.p:
         raise ValueError(f"data width {p} does not match prior p={prior.p}")
+    eppf = eppf_log_ratio(part, h1, h2, crp)
     idx1 = part.members(h1)
-    idx2 = part.members(h2)
-    n1, n2 = idx1.size, idx2.size
+    # only the merged rows are transformed, once; the two clusters are
+    # row slices (views) of that block
+    merged = np.concatenate([idx1, part.members(h2)])
+    return _merge_breakdown(transform_data(data, prior, merged), idx1.size, merged,
+                            prior, eppf)
 
+
+def standardized_merge_log_ratio(
+    y: np.ndarray,
+    n1: int,
+    prior: NiwPrior,
+    crp: CrpPrior,
+) -> MergeRatioBreakdown:
+    """The merge ratio of row-standardized rows, computed in y's own memory.
+
+    The result equals, bit for bit, ``merge_log_ratio(row_standardize(y),
+    Partition([1] * n1 + [2] * (n - n1)), 1, 2, prior, crp)``: the first
+    n1 rows form one cluster and the rest the other.  **y is
+    overwritten**: it is row-standardized, checked finite and
+    transformed in place, so besides y the call holds only n x p bytes
+    for the finite check and one row, where the copying path holds two
+    copies of y.
+
+    Parameters
+    ----------
+    y : (n, p) float64 ndarray
+        The raw rows; their values are lost.
+    n1 : int
+        Size of the first cluster, 0 < n1 < n.
+    prior : NiwPrior
+    crp : CrpPrior
+
+    Raises
+    ------
+    ValueError
+        If y is not a 2-d float64 array of prior.p columns, or n1 is
+        out of range.
+    ConstantRow, DomainError
+        As :func:`~niwclust.niw.row_standardize` and
+        :func:`merge_log_ratio` raise them.
+    """
+    if not (isinstance(y, np.ndarray) and y.dtype == np.float64 and y.ndim == 2):
+        raise ValueError("y must be a 2-d float64 array")
+    n, p = y.shape
+    if p != prior.p:
+        raise ValueError(f"data width {p} does not match prior p={prior.p}")
+    if not 0 < n1 < n:
+        raise ValueError(f"n1 must split the {n} rows, got {n1}")
+    _standardize_rows(y)
+    check_finite(y)
+    _transform_rows(y, prior)
+    eppf = eppf_log_ratio(Partition([1] * n1 + [2] * (n - n1)), 1, 2, crp)
+    return _merge_breakdown(y, n1, np.arange(n), prior, eppf)
+
+
+def _merge_breakdown(
+    ytilde, n1: int, rows, prior: NiwPrior, eppf: float
+) -> MergeRatioBreakdown:
+    """The MergeRatioBreakdown of transformed rows ytilde split after row n1.
+
+    rows[i] is the data row of ytilde[i], which overflow errors name.
+    """
+    n, p = ytilde.shape
+    n2 = n - n1
     term_gamma = gamma_term_log(p, prior.nu0, n1, n2)
     term_kappa = kappa_term_log(p, prior.kappa0, n1, n2)
 
-    def log_parts(block, rows):
+    def log_parts(block, idx):
         """(log scalar factor, log|I + G|) of transformed rows, smaller side."""
-        log_det, s = gram_parts(block, rows)
-        return float(log_scalar_factor(prior, rows.size, s)), log_det
+        log_det, s = gram_parts(block, idx)
+        return float(log_scalar_factor(prior, idx.size, s)), log_det
 
-    # only the merged rows are transformed, once; the two clusters are
-    # row slices (views) of that block
-    merged = np.concatenate([idx1, idx2])
-    ytilde = transform_data(data, prior, merged)
-    sf1, ld1 = log_parts(ytilde[:n1], idx1)
-    sf2, ld2 = log_parts(ytilde[n1:], idx2)
-    sfm, ldm = log_parts(ytilde, merged)
+    sf1, ld1 = log_parts(ytilde[:n1], rows[:n1])
+    sf2, ld2 = log_parts(ytilde[n1:], rows[n1:])
+    sfm, ldm = log_parts(ytilde, rows)
 
     def half(nh):
         return (prior.nu0 + nh) / 2.0
 
-    term_det_kappa = half(n1 + n2) * sfm - half(n1) * sf1 - half(n2) * sf2
-    term_det_gram = half(n1 + n2) * ldm - half(n1) * ld1 - half(n2) * ld2
+    term_det_kappa = half(n) * sfm - half(n1) * sf1 - half(n2) * sf2
+    term_det_gram = half(n) * ldm - half(n1) * ld1 - half(n2) * ld2
 
     total_likelihood = term_gamma + term_kappa + term_det_kappa + term_det_gram
-    eppf = eppf_log_ratio(part, h1, h2, crp)
     return MergeRatioBreakdown(
         term_gamma=term_gamma,
         term_kappa=term_kappa,

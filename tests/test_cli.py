@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,12 +151,18 @@ def test_cluster_with_truth(tmp_path, capsys):
 # sha256 of each command's CSV (metadata line included), SVG and stdout,
 # as written before the CLI's configuration was folded into the argparse
 # namespace; the metadata line names the package version, so a version
-# bump changes the CSV digests
+# bump changes the CSV digests.  A name's command is the part before
+# "_"; limits_pxp, pinned before limits scored its draws in place,
+# reaches the p x p side that n = 2 at p = 40 never does
 _COMMAND_PINS = {
     "limits": (["--p-grid", "40,80", "--replicates", "2", "--seed", "3"],
                "72c85d757f00095347cb1bdc4773c3e0bb507a4d2e08ff8317769ff9be13294d",
                "d2aa95a03720d4deac955efbed816ff18dfdcc200dfd98ae44bd12dd4c573b7b",
                "0a4aebc3c7f76e988848e84497b73b1b7c63d7a47e03ae23c5aad91e3a808e8a"),
+    "limits_pxp": (["--p-grid", "4,8", "--n1", "5", "--n2", "5"],
+                   "6b03680ad3a34ec8be98578f08050d48f71bbfefc8f2ab8d2391492321eae372",
+                   "685f1cd0a9dee27e9ef0102f2705a2907bb8530b5513c03c3bbe9cda703a2b5b",
+                   "2c28b0f4367c3e7ba04e4953bcf2846d3d921109ff38f765480649a3d4f49195"),
     "projector": (["--p-grid", "20,50", "--n1", "5", "--replicates", "5"],
                   "a48130a6cc50771d90dd7e92089b0748a7f8d0b87319ac7581c7afb79ead7f73",
                   "d46d580c6af161698424e63348bfdacf95913e18f5c79089e5b2b8cbc7b3d237",
@@ -168,9 +175,10 @@ _COMMAND_PINS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_COMMAND_PINS))
-def test_command_outputs_are_byte_pinned(tmp_path, capsys, command):
-    args, csv_pin, svg_pin, stdout_pin = _COMMAND_PINS[command]
+@pytest.mark.parametrize("name", sorted(_COMMAND_PINS))
+def test_command_outputs_are_byte_pinned(tmp_path, capsys, name):
+    args, csv_pin, svg_pin, stdout_pin = _COMMAND_PINS[name]
+    command = name.partition("_")[0]
     assert niwclust.__version__ == "0.1.0"
     assert main([command, *args, "--outdir", str(tmp_path)]) == 0
     digests = tuple(hashlib.sha256(_read_bytes(tmp_path / f"{command}.{ext}")).hexdigest()
@@ -470,20 +478,20 @@ def test_import_loads_no_thread_pool():
 
 
 def _limits_draw(rep):
-    """The rows that limits replicate rep draws at p = 30, n1 = n2 = 1."""
-    return cli.row_standardize(np.random.default_rng([0, 0, rep]).standard_normal((2, 30)))
+    """The raw rows that limits replicate rep draws at p = 30, n1 = n2 = 1."""
+    return np.random.default_rng([0, 0, rep]).standard_normal((2, 30))
 
 
 def test_failing_replicate_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    real = cli.merge_log_ratio
+    real = cli.standardized_merge_log_ratio
     third = _limits_draw(3)
 
-    def fail_at_replicate_3(data, *args):
-        if np.array_equal(data, third):
+    def fail_at_replicate_3(y, *args):
+        if np.array_equal(y, third):
             raise NotPositiveDefinite("injected failure in replicate 3")
-        return real(data, *args)
+        return real(y, *args)
 
-    monkeypatch.setattr(cli, "merge_log_ratio", fail_at_replicate_3)
+    monkeypatch.setattr(cli, "standardized_merge_log_ratio", fail_at_replicate_3)
     out = tmp_path / "run"
     assert main(["limits", "--p-grid", "30,60", "--replicates", "6",
                  "--outdir", str(out)]) == 3
@@ -497,18 +505,33 @@ def test_failing_replicate_exits_3_and_writes_nothing(tmp_path, monkeypatch, cap
 def test_rows_follow_replicate_order_not_finish_order(tmp_path, monkeypatch):
     args = ["limits", "--p-grid", "30", "--replicates", "4"]
     assert main(args + ["--outdir", str(tmp_path / "plain")]) == 0
-    real = cli.merge_log_ratio
+    real = cli.standardized_merge_log_ratio
     first = _limits_draw(0)
 
-    def replicate_0_finishes_last(data, *args):
-        if np.array_equal(data, first):
+    def replicate_0_finishes_last(y, *args):
+        if np.array_equal(y, first):
             time.sleep(0.3)
-        return real(data, *args)
+        return real(y, *args)
 
-    monkeypatch.setattr(cli, "merge_log_ratio", replicate_0_finishes_last)
+    monkeypatch.setattr(cli, "standardized_merge_log_ratio", replicate_0_finishes_last)
     assert main(args + ["--outdir", str(tmp_path / "slow")]) == 0
     for name in ("limits.csv", "limits.svg"):
         assert _read_bytes(tmp_path / "slow" / name) == _read_bytes(tmp_path / "plain" / name)
+
+
+def test_limits_replicate_holds_one_copy_of_its_draw(tmp_path):
+    # the replicate scores its draw in place: besides the draw it holds
+    # n x p bytes for the finite check and a few p-vectors, where two
+    # full copies (standardized, then transformed) would read over 2x
+    n, p = 20, 10 ** 5
+    tracemalloc.start()
+    try:
+        assert main(["limits", "--p-grid", str(p), "--replicates", "1", "--n1", "10",
+                     "--n2", "10", "--outdir", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * n * p * 8
 
 
 def _sweep_chain_seed(chain):

@@ -296,12 +296,15 @@ def _two_pass_standardize(y):
 @example(y=np.random.default_rng(15).standard_normal((3, 1031)) * 1e-3 + 7.0)
 @settings(max_examples=80, deadline=None)
 def test_row_standardize_bitwise_equals_two_pass_formula(y):
+    before = y.copy()
     centered = y - y.mean(axis=1, keepdims=True)
     if not ((centered ** 2).sum(axis=1) > 0).all():
         with pytest.raises(ConstantRow):
             row_standardize(y)
-        return
-    assert np.array_equal(row_standardize(y), _two_pass_standardize(y))
+    else:
+        assert np.array_equal(row_standardize(y), _two_pass_standardize(y))
+    # it works on a copy, even when it raises
+    assert np.array_equal(y, before)
 
 
 def test_row_standardize_peak_memory_is_one_copy():

@@ -1,5 +1,6 @@
 """Merge-ratio decomposition, closed-form terms, and dimension limits."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from niwclust.errors import DomainError
+from niwclust.errors import ConstantRow, DomainError
 from niwclust.niw import (
     NiwPrior,
     RobustPriorSpec,
@@ -23,6 +24,7 @@ from niwclust.ratio import (
     kappa_term_log,
     merge_log_ratio,
     projector_residual,
+    standardized_merge_log_ratio,
 )
 import oracles
 
@@ -304,7 +306,9 @@ def test_merge_ratio_on_interleaved_three_cluster_partition(h1, h2):
     for prior in (robust_prior(40, RobustPriorSpec(1.0, 2.0)),
                   NiwPrior(rng.standard_normal(40), 0.8, 44.0, 1.7)):
         data = rng.standard_normal((lab.size, 40)) + lab[:, None]
+        before = data.copy()
         br = merge_log_ratio(data, part, h1, h2, prior, CrpPrior(1.0))
+        assert np.array_equal(data, before)
 
         def lm(rows):
             return cluster_log_marginal(data[rows], prior)
@@ -327,6 +331,36 @@ def test_merge_ratio_peak_memory_is_one_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * data.nbytes
+
+
+@pytest.mark.parametrize("n1, n2, p", [(3, 4, 50), (5, 5, 4), (5, 5, 8)])
+def test_in_place_ratio_equals_the_copying_path_bitwise(n1, n2, p):
+    # p above n takes the n x n side everywhere, p = 4 the p x p side
+    # everywhere, and p = 8 the n x n side per cluster and p x p merged
+    rng = np.random.default_rng(39)
+    part = Partition([1] * n1 + [2] * n2)
+    crp = CrpPrior(0.7)
+    for prior in (robust_prior(p, RobustPriorSpec(1.0, 2.0)),
+                  NiwPrior(rng.standard_normal(p), 0.8, p + 3.5, 1.7 * p)):
+        y = rng.standard_normal((n1 + n2, p)) * 3.0 + 2.0
+        want = merge_log_ratio(row_standardize(y.copy()), part, 1, 2, prior, crp)
+        got = standardized_merge_log_ratio(y.copy(), n1, prior, crp)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        y[1] = 5.0
+        with pytest.raises(ConstantRow):
+            merge_log_ratio(row_standardize(y.copy()), part, 1, 2, prior, crp)
+        with pytest.raises(ConstantRow):
+            standardized_merge_log_ratio(y.copy(), n1, prior, crp)
+
+
+def test_in_place_ratio_input_validation():
+    prior = robust_prior(6, RobustPriorSpec(1.0, 2.0))
+    crp = CrpPrior(1.0)
+    y = np.random.default_rng(40).standard_normal((4, 6))
+    for bad, n1 in ((y.astype(np.float32), 2), (y[0], 2), (y.tolist(), 2),
+                    (y[:, :5], 2), (y, 0), (y, 4)):
+        with pytest.raises(ValueError):
+            standardized_merge_log_ratio(bad, n1, prior, crp)
 
 
 def test_merge_ratio_input_validation():
