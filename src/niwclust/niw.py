@@ -39,7 +39,7 @@ __all__ = [
     "NiwPrior",
     "RobustPriorSpec",
     "robust_prior",
-    "check_finite",
+    "as_observations",
     "transform_data",
     "gram_matrix",
     "forward_solve",
@@ -215,14 +215,24 @@ def robust_prior(p: int, spec: RobustPriorSpec) -> NiwPrior:
     )
 
 
-def check_finite(y: NDArray[np.float64]) -> None:
-    """Reject a 2-d data array with a NaN or infinite cell.
+def as_observations(y) -> NDArray[np.float64]:
+    """y as a 2-d float array of finite observations, one per row.
+
+    A 1-d array is one row.  Nothing is copied that ``np.asarray`` does
+    not copy, and the finite test's n x p temporary is freed on return.
 
     Raises
     ------
+    ValueError
+        Naming y's shape, if it is not 2-d or has no column.
     DomainError
-        Naming the first such cell by its 1-based row and column.
+        Naming the first NaN or infinite cell by its 1-based row and column.
     """
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y[None, :]
+    if y.ndim != 2 or y.shape[1] < 1:
+        raise ValueError(f"observations must be 2-d with a column, got shape {y.shape}")
     finite = np.isfinite(y)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]
@@ -230,16 +240,17 @@ def check_finite(y: NDArray[np.float64]) -> None:
             f"data row {r + 1}, column {c + 1} is {y[r, c]}; "
             "observations must be finite"
         )
+    return y
 
 
 def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     """Apply ytilde_i = (y_i - mu0) / sqrt(lambda0) row-wise.
 
     Under the transformed data the prior has mu0 = 0 and Lambda0 = I.
-    Rejects non-finite data anywhere in y with :func:`check_finite`,
-    naming the cell by its row in y.  A cell that overflows in the
-    transform becomes infinite without a warning; every caller forms the
-    Gram matrix with :func:`gram_matrix`, which rejects its row.
+    y is checked whole by :func:`as_observations` and must be prior.p
+    wide (else ValueError).  A cell that overflows in the transform
+    becomes infinite without a warning; every caller hands the result to
+    :func:`gram_matrix` or :func:`gram_parts`, which reject its row.
 
     rows, an integer index array, selects the rows to transform, in its
     order; the result equals ``transform_data(y, prior)[rows]`` bit for
@@ -247,12 +258,9 @@ def transform_data(y, prior: NiwPrior, rows=None) -> NDArray[np.float64]:
     then centered and scaled in place by :func:`_transform_rows`, so the
     call holds one copy of them.  y itself is never modified.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
+    y = as_observations(y)
     if y.shape[1] != prior.p:
         raise ValueError(f"data width {y.shape[1]} does not match prior p={prior.p}")
-    check_finite(y)
     # np.take always copies; it refuses a slice, whose view the
     # in-place steps would write through to y
     out = y.copy() if rows is None else np.take(y, rows, axis=0)
@@ -268,12 +276,10 @@ def _transform_rows(y: NDArray[np.float64], prior: NiwPrior) -> None:
         y /= np.sqrt(prior.lambda0)
 
 
-def _overflow(i: int, rows, matrix: str) -> DomainError:
-    """The error naming row i of ytilde, data row rows[i], as overflowing."""
+def _overflow(i: int, rows, what: str) -> DomainError:
+    """The error naming row i, data row rows[i] (i by default), as overflowing what."""
     r = i if rows is None else rows[i]
-    return DomainError(
-        f"data row {r + 1} overflows the {matrix} matrix; rescale the data"
-    )
+    return DomainError(f"data row {r + 1} overflows {what}; rescale the data")
 
 
 def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
@@ -297,7 +303,7 @@ def gram_matrix(ytilde: NDArray[np.float64], rows=None) -> NDArray[np.float64]:
     if not finite.all():
         diag = ~finite.diagonal()
         bad = np.flatnonzero(diag if diag.any() else ~finite.all(axis=1))
-        raise _overflow(bad[0], rows, "Gram")
+        raise _overflow(bad[0], rows, "the Gram matrix")
     return gram
 
 
@@ -364,7 +370,7 @@ def gram_parts(ytilde: NDArray[np.float64], rows=None, dual=None):
             if math.isfinite(nq):
                 return log_det + math.log1p(nq), n / (1.0 + nq)
         sq_norms = np.einsum("ij,ij->i", ytilde, ytilde)
-    raise _overflow(int(np.argmax(sq_norms)), rows, "scatter")
+    raise _overflow(int(np.argmax(sq_norms)), rows, "the scatter matrix")
 
 
 def check_nu0(nu0: float, p: int) -> None:
@@ -452,31 +458,22 @@ def cluster_log_marginal(rows, prior: NiwPrior, form: str = "auto") -> float:
     Raises
     ------
     ValueError
-        If rows is not 2-d after a 1-d array is taken as one row, has
-        no column, or does not match the prior's width.
+        If form is unknown, or as :func:`transform_data` raises it, also
+        for an empty cluster.
     DomainError
-        If some cell is not finite (see :func:`check_finite`), if
+        If some cell is not finite (see :func:`as_observations`), if
         nu0 < p (see :func:`check_nu0`) or if the factored matrix
         overflows; the message names the row (see :func:`gram_parts`).
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    if rows.ndim != 2:
-        raise ValueError(f"rows must be 2-d, got shape {rows.shape}")
-    if rows.shape[1] < 1:
-        raise ValueError("rows must have at least one column")
-    check_finite(rows)
-    n, p = rows.shape
-    if n == 0:
-        return 0.0
-    if p != prior.p:
-        raise ValueError(f"cluster width {p} does not match prior p={prior.p}")
     if form not in ("auto", "primal", "dual"):
         raise ValueError(f"unknown form {form!r}")
+    ytilde = transform_data(rows, prior)
+    n = ytilde.shape[0]
+    if n == 0:
+        return 0.0
     consts = size_constants(prior, n)
     dual = None if form == "auto" else form == "dual"
-    log_det, s = gram_parts(transform_data(rows, prior), dual=dual)
+    log_det, s = gram_parts(ytilde, dual=dual)
     return float(dual_log_marginal(consts, prior, n, log_det, s))
 
 
@@ -490,21 +487,24 @@ def row_standardize(y) -> NDArray[np.float64]:
 
     Raises
     ------
+    ValueError, DomainError
+        As :func:`as_observations` raises them.
     ConstantRow
         If some row has zero sample variance.
     DomainError
-        If p < 2 (sample variance needs two entries).
+        If p < 2 (sample variance needs two entries), or if some row's
+        sum of squares overflows; the row is named.
     """
-    out = np.array(y, dtype=float)
-    if out.ndim == 1:
-        out = out[None, :]
+    # the check's n x p temporary is freed before the copy is made
+    out = as_observations(y).copy()
     _standardize_rows(out)
     return out
 
 
 def _standardize_rows(y: NDArray[np.float64]) -> None:
     """Row-standardize the 2-d float array y in place, the body of
-    :func:`row_standardize`; it raises as that function documents.
+    :func:`row_standardize`; it raises as that function documents, but
+    leaves :func:`as_observations` to its caller.
 
     Besides y it holds one row: the sums of squares are taken a row at
     a time in one buffer, each the same pairwise sum that
@@ -514,11 +514,15 @@ def _standardize_rows(y: NDArray[np.float64]) -> None:
     p = y.shape[1]
     if p < 2:
         raise DomainError("row standardization needs p >= 2")
-    y -= y.mean(axis=1, keepdims=True)
     buf = np.empty(p)
-    sumsq = np.array([np.multiply(r, r, out=buf).sum() for r in y])
-    sd = np.sqrt(sumsq / (p - 1))
-    bad = np.flatnonzero(~(sd > 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y -= y.mean(axis=1, keepdims=True)
+        sumsq = np.array([np.multiply(r, r, out=buf).sum() for r in y])
+    bad = np.flatnonzero(~np.isfinite(sumsq))
     if bad.size:
-        raise ConstantRow(f"row {bad[0]} has zero sample variance")
+        raise _overflow(bad[0], None, "its sum of squares")
+    sd = np.sqrt(sumsq / (p - 1))
+    bad = np.flatnonzero(sd == 0)
+    if bad.size:
+        raise ConstantRow(f"row {bad[0] + 1} has zero sample variance")
     y /= sd[:, None]

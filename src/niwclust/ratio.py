@@ -26,7 +26,7 @@ from .niw import (
     RobustPriorSpec,
     _standardize_rows,
     _transform_rows,
-    check_finite,
+    as_observations,
     check_nu0,
     gram_matrix,
     gram_parts,
@@ -213,15 +213,10 @@ def merge_log_ratio(
         log_marginal(merged).
     """
     data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError(f"data must be 2-d, got shape {data.shape}")
-    if data.shape[0] != part.n:
-        raise ValueError(
-            f"data has {data.shape[0]} rows but partition covers {part.n}"
-        )
-    p = data.shape[1]
-    if p != prior.p:
-        raise ValueError(f"data width {p} does not match prior p={prior.p}")
+    # rows as transform_data counts them (a 1-d array is one); it checks the rest
+    n = len(np.atleast_2d(data))
+    if n != part.n:
+        raise ValueError(f"data has {n} rows but partition covers {part.n}")
     eppf = eppf_log_ratio(part, h1, h2, crp)
     idx1 = part.members(h1)
     # only the merged rows are transformed, once; the two clusters are
@@ -242,7 +237,7 @@ def standardized_merge_log_ratio(
     The result equals, bit for bit, ``merge_log_ratio(row_standardize(y),
     Partition([1] * n1 + [2] * (n - n1)), 1, 2, prior, crp)``: the first
     n1 rows form one cluster and the rest the other.  **y is
-    overwritten**: it is row-standardized, checked finite and
+    overwritten**: it is checked finite, then row-standardized and
     transformed in place, so besides y the call holds only n x p bytes
     for the finite check and one row, where the copying path holds two
     copies of y.
@@ -272,8 +267,8 @@ def standardized_merge_log_ratio(
         raise ValueError(f"data width {p} does not match prior p={prior.p}")
     if not 0 < n1 < n:
         raise ValueError(f"n1 must split the {n} rows, got {n1}")
+    y = as_observations(y)  # y itself: it is float64 and 2-d
     _standardize_rows(y)
-    check_finite(y)
     _transform_rows(y, prior)
     eppf = eppf_log_ratio(Partition([1] * n1 + [2] * (n - n1)), 1, 2, crp)
     return _merge_breakdown(y, n1, np.arange(n), prior, eppf)
@@ -327,15 +322,12 @@ def projector_residual(y) -> float:
     The value lies in (0, 1] and vanishes as lambda_min grows.  An
     eigenvalue within the rounding of forming Y Y^T and its spectrum,
     max(n, p) * eps * lambda_max, counts as 0, so rows that are
-    linearly dependent (duplicate rows, n > p) give exactly 1.
+    linearly dependent (duplicate rows, n > p) give exactly 1.  y is
+    checked by :func:`~niwclust.niw.as_observations` and needs a row.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
-    n = y.shape[0]
-    if n < 1:
+    y = as_observations(y)
+    if y.shape[0] < 1:
         raise ValueError("need at least one row")
-    check_finite(y)
     eig = np.linalg.eigvalsh(gram_matrix(y))
     lam_min = float(eig[0])
     if lam_min <= max(y.shape) * np.finfo(float).eps * eig[-1]:

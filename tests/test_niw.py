@@ -19,6 +19,7 @@ from niwclust.niw import (
     row_standardize,
     transform_data,
 )
+from niwclust.ratio import projector_residual
 import oracles
 
 
@@ -150,6 +151,12 @@ def test_empty_cluster_marginal_is_zero():
     assert cluster_log_marginal(empty, prior, form="dual") == 0.0
 
 
+def test_empty_cluster_must_match_the_prior_width():
+    prior = NiwPrior(np.zeros(3), 1.0, 5.0, 1.0)
+    with pytest.raises(ValueError, match="data width 5 does not match prior p=3"):
+        cluster_log_marginal(np.empty((0, 5)), prior)
+
+
 def test_unknown_form_rejected():
     prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
     with pytest.raises(ValueError):
@@ -158,10 +165,15 @@ def test_unknown_form_rejected():
 
 def test_rows_must_be_2d_with_a_column():
     prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
-    with pytest.raises(ValueError, match="2-d"):
-        cluster_log_marginal(np.zeros((2, 2, 2)), prior)
-    with pytest.raises(ValueError, match="column"):
-        cluster_log_marginal(np.zeros((3, 0)), prior)
+    for takes_rows in (lambda y: cluster_log_marginal(y, prior),
+                       lambda y: transform_data(y, prior),
+                       projector_residual, row_standardize):
+        with pytest.raises(ValueError, match=r"2-d .*shape \(\)"):
+            takes_rows(np.float64(1.0))
+        with pytest.raises(ValueError, match=r"2-d .*shape \(2, 2, 2\)"):
+            takes_rows(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"column.*shape \(3, 0\)"):
+            takes_rows(np.zeros((3, 0)))
 
 
 @pytest.mark.parametrize("form", ["primal", "dual"])
@@ -319,5 +331,5 @@ def test_row_standardize_peak_memory_is_one_copy():
 
 
 def test_row_standardize_rejects_constant_rows():
-    with pytest.raises(ConstantRow):
+    with pytest.raises(ConstantRow, match="row 1 has zero sample variance"):
         row_standardize(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))

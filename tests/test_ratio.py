@@ -353,6 +353,23 @@ def test_in_place_ratio_equals_the_copying_path_bitwise(n1, n2, p):
             standardized_merge_log_ratio(y.copy(), n1, prior, crp)
 
 
+@pytest.mark.parametrize("row, error, message", [
+    ([1e200, -1e200, 0.0, 5.0], DomainError, "data row 2 overflows its sum of squares"),
+    ([1.0, np.nan, 3.0, 4.0], DomainError, "data row 2, column 2 is nan"),
+    ([1.0, 2.0, -np.inf, 4.0], DomainError, "data row 2, column 3 is -inf"),
+    ([5.0, 5.0, 5.0, 5.0], ConstantRow, "row 2 has zero sample variance"),
+], ids=["overflow", "nan", "inf", "constant"])
+def test_standardizing_names_the_row_it_rejects(row, error, message):
+    # both entry points raise before any result, and without a warning
+    prior = robust_prior(4, RobustPriorSpec(1.0, 2.0))
+    y = np.random.default_rng(41).standard_normal((4, 4))
+    y[1] = row
+    with pytest.raises(error, match=message):
+        row_standardize(y)
+    with pytest.raises(error, match=message):
+        standardized_merge_log_ratio(y.copy(), 2, prior, CrpPrior(1.0))
+
+
 def test_in_place_ratio_input_validation():
     prior = robust_prior(6, RobustPriorSpec(1.0, 2.0))
     crp = CrpPrior(1.0)
