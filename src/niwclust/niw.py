@@ -490,7 +490,10 @@ def row_standardize(y) -> NDArray[np.float64]:
     ValueError, DomainError
         As :func:`as_observations` raises them.
     ConstantRow
-        If some row has zero sample variance.
+        If some row has zero sample variance: its entries, less their
+        mean, are all zero, or all equal and too small to square.  A row
+        of tiny spread (1e-200 apart, say) is not constant; it is
+        rescaled by a power of two and standardized.
     DomainError
         If p < 2 (sample variance needs two entries), or if some row's
         sum of squares overflows; the row is named.
@@ -509,7 +512,11 @@ def _standardize_rows(y: NDArray[np.float64]) -> None:
     Besides y it holds one row: the sums of squares are taken a row at
     a time in one buffer, each the same pairwise sum that
     (y**2).sum(axis=1) takes, so the result is bit-identical to the
-    two-pass formula.
+    two-pass formula.  A centred row whose sum of squares falls below
+    the smallest normal double (its squares underflow) is first scaled
+    by the exact power of two that brings its largest |entry| into
+    [0.5, 1), and centred again; it is constant only if its centred
+    entries are all equal, the residue of a rounded mean.
     """
     p = y.shape[1]
     if p < 2:
@@ -518,6 +525,15 @@ def _standardize_rows(y: NDArray[np.float64]) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         y -= y.mean(axis=1, keepdims=True)
         sumsq = np.array([np.multiply(r, r, out=buf).sum() for r in y])
+        for i in np.flatnonzero(sumsq < np.finfo(float).tiny):
+            top = np.abs(y[i]).max()
+            if top > 0.0:
+                np.ldexp(y[i], -np.frexp(top)[1], out=y[i])
+                if y[i].min() == y[i].max():
+                    y[i] = 0.0  # equal entries: the residue of a rounded mean
+                else:  # the mean of subnormal entries is rounded coarsely
+                    y[i] -= y[i].mean()
+                sumsq[i] = np.multiply(y[i], y[i], out=buf).sum()
     bad = np.flatnonzero(~np.isfinite(sumsq))
     if bad.size:
         raise _overflow(bad[0], None, "its sum of squares")

@@ -15,11 +15,21 @@ the transformed Gram matrix and of each cluster's inverse of I + G_c.
 After an O(n^2 p) setup, which also fills an n x n table of every
 pair's log marginal (n^2 floats, as the Gram matrix), one weight costs
 O(n_c^2) (a bordered append) and removing a point O(1) (a Schur
-deletion).  One routine, ``_Scan.weights``, gives all the weights of a
-point: its singleton candidates are read from the pair table in one
-numpy pass over arrays indexed by label, each larger cluster is a
-bordered append, and the weight of the point's own cluster is the log
-marginal that cluster already holds.
+deletion).  ``_Scan.block`` scores a block of consecutive points
+against the partition they all see until one of them changes it: the
+singleton candidates of every row are one gather from the pair table,
+each larger cluster is one matmul for the appends of all rows and one
+gather from its inverse's diagonal for the deletions of its members,
+and the weight of a point's own cluster is the log marginal that
+cluster already holds.  ``_Scan.lone`` scores a block of one row the
+same way, with matrix-vector products and scalars.  gibbs_sweep walks
+a block's rows to the first that moves its point and applies that move
+alone; the next block starts after it.  A block is one row after a
+move and doubles after a block walked through, up to _ROWS rows, so
+its temporaries stay O(_ROWS n) floats; blocks of fewer than _BATCH
+rows are scored one row at a time, where batching costs more than it
+saves.  A sweep that moves most points thus scans one row at a time,
+and one that moves none a few dozen matmuls a cluster.
 
 A sweep that moves no point leaves the partition and every weight as
 they were, so the next sweep differs only in its uniforms.  Such a sweep
@@ -69,8 +79,17 @@ _SCHUR_FLOOR = 1.0 - 1e-10
 # this many uniforms (32 KB), drawn in one call.
 _BLOCK = 4096
 
-# The pair table is evaluated this many rows at a time.
+# The pair table is evaluated, and a sweep scores its points, at most
+# this many rows at a time.
 _ROWS = 64
+
+# A sweep batches the scores of at least this many points and scores
+# fewer one at a time (``_Scan.lone``).  On a 2-core x86 box a batched
+# block of one row took about three times as long as one point scored
+# alone (27 against 10 us), and a settled ten-point sweep took 229 us
+# with blocks from 2 rows, 153 us from 8; n = 400 sweeps cost the same
+# from 2 to 16.
+_BATCH = 8
 
 
 def _drifted(schur: float) -> bool:
@@ -94,6 +113,19 @@ class _Factor(NamedTuple):
     log_det: float
 
 
+def _grown(f: _Factor, schur: float, t: float) -> tuple:
+    """(log|A|, 1^T A^-1 1) of f's cluster with a point appended, from the
+    append's Schur complement and t (see _Border); schur must not have
+    drifted."""
+    return f.log_det + log(schur), f.s + t * t / schur
+
+
+def _shrunk(f: _Factor, pos: int, d: float) -> tuple:
+    """(log|A|, 1^T A^-1 1) of f's cluster without the point at position
+    pos, from d = (A^-1)_pos,pos > 0."""
+    return f.log_det + log(d), f.s - f.b[pos] ** 2 / d
+
+
 class _Border(NamedTuple):
     """Append of point i to f's cluster: with g the Gram column of i,
     v = A^-1 g, schur = 1 + g_ii - g^T v and t = 1 - 1^T v."""
@@ -106,15 +138,14 @@ class _Border(NamedTuple):
 
     def totals(self) -> tuple:
         """(log|A|, 1^T A^-1 1) with i appended; schur must not have drifted."""
-        f, schur, t = self.f, self.schur, self.t
-        return f.log_det + log(schur), f.s + t * t / schur
+        return _grown(self.f, self.schur, self.t)
 
     def applied(self) -> _Factor:
         schur, f, i, v, t = self
         log_det, s = self.totals()
         m = v.size
         inv = np.empty((m + 1, m + 1))
-        inv[:m, :m] = f.inv + np.outer(v, v / schur)
+        np.add(f.inv, np.multiply.outer(v, v / schur), out=inv[:m, :m])
         inv[m, :m] = inv[:m, m] = -v / schur
         inv[m, m] = 1.0 / schur
         b = np.empty(m + 1)
@@ -137,8 +168,7 @@ class _Deletion(NamedTuple):
 
     def totals(self) -> tuple:
         """(log|A|, 1^T A^-1 1) without the point; schur must not have drifted."""
-        f, pos, d = self.f, self.pos, self.d
-        return f.log_det + log(d), f.s - f.b[pos] ** 2 / d
+        return _shrunk(self.f, self.pos, self.d)
 
     def applied(self) -> _Factor:
         _, f, pos, d = self
@@ -146,7 +176,8 @@ class _Deletion(NamedTuple):
         keep = np.arange(f.b.size - 1)  # every position but pos
         keep[pos:] += 1
         col = f.inv[pos].take(keep)
-        inv = f.inv.take(keep, 0).take(keep, 1) - np.outer(col, col / d)
+        inv = f.inv.take(keep, 0).take(keep, 1)
+        inv -= np.multiply.outer(col, col / d)
         b = f.b.take(keep) - col * (f.b[pos] / d)
         return _Factor(f.order.take(keep), inv, b, s, log_det)
 
@@ -165,8 +196,12 @@ class _ChainCache:
     ``pair``: pair[i, j] is the log marginal of {i, j}, in closed form
     from its 2 x 2 Gram block.  The table costs n^2 floats, as G does.
 
-    ``_changed`` returns the update it scored, and ``_Scan.place``
-    applies it when the point moves.  A cluster with no entry (a fresh
+    ``_Scan.block`` scores the appends of a block of consecutive points
+    to a cluster of m with one m x rows matmul on its factor, and gathers
+    the deletions from the inverse's diagonal; ``_border`` and
+    ``_deletion`` score one point, for ``_Scan.lone``.  ``_Scan.place``
+    applies the _Border and _Deletion of the one row that moves, built
+    from the scores it was picked by.  A cluster with no entry (a fresh
     pair, or each cluster of a rebuilt chain) is built from its Gram
     block on first use, and one whose update drifted is rebuilt from it.
     Entries are never mutated, so copying the dict snapshots the store.
@@ -180,9 +215,8 @@ class _ChainCache:
         self._value = partial(
             dual_log_marginal, size_constants(prior, max(data.shape[0], 2)), prior
         )
-        self._diag = self.gram.diagonal().copy()
-        one = 1.0 + self._diag
-        self.single = self._value(1, np.log(one), 1.0 / one).tolist()
+        one = self._one = 1.0 + self.gram.diagonal()
+        self.single = self._value(1, np.log(one), 1.0 / one)
         self.pair = self._pairs()
         self.factors: dict = {}
 
@@ -190,8 +224,8 @@ class _ChainCache:
         """The pair table, evaluated rows at a time so that its
         temporaries stay O(rows n).  An entry that is not finite is caught
         by the weight check of the sweep that reads it."""
-        n = self._diag.size
-        a = 1.0 + self._diag
+        a = self._one
+        n = a.size
         pair = np.empty((n, n))
         with np.errstate(all="ignore"):
             for lo in range(0, n, rows):
@@ -219,16 +253,29 @@ class _ChainCache:
         )
 
     def _border(self, f: _Factor, i: int) -> _Border:
-        g = self.gram[i, f.order]
+        """The append of point i alone to f's cluster, one matrix-vector product."""
+        g = self.gram[i].take(f.order)
         v = f.inv @ g
-        schur = 1.0 + self._diag[i] - float(g @ v)
-        return _Border(schur, f, i, v, 1.0 - float(f.b @ g))
+        return _Border(self._one[i] - float(g @ v), f, i, v, 1.0 - float(f.b @ g))
 
     @staticmethod
     def _deletion(f: _Factor, i: int) -> _Deletion:
         pos = f.order.tolist().index(i)
         d = float(f.inv[pos, pos])
         return _Deletion(1.0 / d if d > 0.0 else -inf, f, pos, d)
+
+    def _changed(self, idx: tuple, step, i: int):
+        """step(f, i), step _border or _deletion, for the factor f of current
+        cluster idx; a drifted factor is rebuilt from its Gram block once."""
+        out = step(self._factor(idx), i)
+        if _drifted(out.schur):
+            f = self.factors[idx] = self._build(idx)
+            out = step(f, i)
+            if not 0.0 < out.schur < inf:
+                raise NotPositiveDefinite(
+                    f"Schur complement {out.schur} in a cluster of {len(idx)}"
+                )
+        return out
 
     def _factor(self, idx: tuple) -> _Factor:
         """Factor of current cluster idx, built on first use."""
@@ -242,24 +289,78 @@ class _ChainCache:
     def log_marginal(self, idx: tuple) -> float:
         """Log marginal of a current cluster."""
         if len(idx) == 1:
-            return self.single[idx[0]]
+            return float(self.single[idx[0]])
         f = self._factor(idx)
         return float(self._value(len(idx), f.log_det, f.s))
 
-    def _changed(self, idx: tuple, step, i: int, size: int) -> tuple:
-        """(log marginal, update) of current cluster idx with i appended or
-        deleted: step is _border or _deletion, and update the _Border or
-        _Deletion it returned.  size is the new cluster's.  A drifted factor
-        is rebuilt from its Gram block once."""
-        out = step(self._factor(idx), i)
-        if _drifted(out.schur):
-            f = self.factors[idx] = self._build(idx)
-            out = step(f, i)
-            if not 0.0 < out.schur < inf:
-                raise NotPositiveDefinite(
-                    f"Schur complement {out.schur} in a cluster of {len(idx)}"
-                )
-        return float(self._value(size, *out.totals())), out
+
+class _Block(NamedTuple):
+    """Scores of the points lo, lo + 1, ... against one partition.
+
+    Row r is point lo + r and column c the candidate cands[c]: the
+    current labels, sorted, then the new-cluster slot.  Only the rows
+    below stop were scored.  value[r, c] is the log marginal of the
+    candidate with the point added (for its own cluster, the one that
+    cluster holds), log_w[r, c] its log weight, log n_c + value - log_ml
+    with the point taken out, and cum the running sums of the weights
+    scaled by the row's largest; ok says whether a row's log weights are
+    finite.  A point alone in its cluster has that cluster's column at
+    -inf, and its home, the column of its own cluster, is the new-cluster
+    slot.  rest holds the log marginal of each own cluster without its
+    point (unread for a point alone), and relabel, ascending, the rows of
+    the points alone that the new-cluster slot gives another label
+    (``_fresh``).
+
+    appends maps the label of each cluster of two or more points to
+    (f, v, schur, t) from ``_Scan._column``, and deletions the row of a
+    member of a cluster of three or more to its (pos, d); ``updates``
+    builds a row's updates from them.  A lone row (``_Scan.lone``) keeps
+    its _Border and _Deletion whole in appends, by label, with deletions
+    None.
+    """
+
+    lo: int
+    stop: int
+    cands: np.ndarray
+    home: np.ndarray
+    value: np.ndarray
+    log_w: np.ndarray
+    cum: np.ndarray
+    ok: np.ndarray
+    rest: list
+    relabel: list
+    appends: dict
+    deletions: dict
+
+    def updates(self, r: int, h: int, lab: int) -> dict:
+        """The updates that the move of row r's point from h to lab
+        applies, by label: h's deletion and lab's append, where they have
+        factors."""
+        if self.deletions is None:  # a lone row's, kept whole in appends
+            return {c: out for c, out in self.appends.items() if c in (h, lab)}
+        out = {}
+        if r in self.deletions:
+            f, _, schur, _ = self.appends[h]
+            out[h] = _Deletion(schur[r], f, *self.deletions[r])
+        if lab != h and lab in self.appends:
+            f, v, schur, t = self.appends[lab]
+            out[lab] = _Border(schur[r], f, self.lo + r, v[r], t[r])
+        return out
+
+
+def _fresh(cands: np.ndarray, h: int, alone: bool) -> int:
+    """The label of a new cluster for a point of cluster h, with cands the
+    current labels and the new-cluster slot: one past the largest label,
+    leaving out h if the point is alone in it."""
+    top = int(cands[-2])
+    if alone and h == top:
+        return int(cands[-3]) + 1 if cands.size > 2 else 1
+    return top + 1
+
+
+def _first_drift(schur: list, start: int = 0) -> Optional[int]:
+    """The first row from start whose Schur complement drifted, or None."""
+    return next((r for r in range(start, len(schur)) if _drifted(schur[r])), None)
 
 
 class _Scan:
@@ -274,9 +375,9 @@ class _Scan:
     below ``new``, the new-cluster slot.  Its size is 1, so that the
     candidates, size.nonzero()[0], are the current labels, sorted, and
     then it; they are kept until some cluster appears or empties.
-    updates maps the label of each cluster whose factor the last
-    ``weights`` call updated (i's own and each larger candidate) to that
-    update, for ``place`` to apply.
+
+    ``block`` scores consecutive points against the partition as it
+    stands, ``lone`` one point, and ``place`` applies a move.
     """
 
     def __init__(self, chain: _ChainCache, clusters: dict, log_ml: dict, alpha: float):
@@ -291,96 +392,216 @@ class _Scan:
             self.log_ml[lab] = log_ml[lab]
             self.first[lab] = idx[0]
         self.size[self.new] = 1
-        self.multi = {lab for lab, idx in clusters.items() if len(idx) > 1}
         self.log_alpha = log(alpha)
+        self.multi = {lab for lab, idx in clusters.items() if len(idx) > 1}
         self.cands = None
 
-    def weights(self, i: int, h: int) -> tuple:
-        """Take point i out of its cluster h and weigh where it may go.
+    def lone(self, i: int, labels: list) -> _Block:
+        """Score point i, whose label is labels[i], as a block of one row.
 
-        Returns (cands, value, log_w, home).  cands lists the labels of
-        the clusters without i, sorted, then the new-cluster slot.  For
-        each candidate, value holds its log marginal with i added (for h
-        itself, the one h holds with i) and log_w its log weight,
-        log n_c + value - log_ml.  home is the position of h in cands (of
-        the new-cluster slot if i was alone).  A singleton is scored from
-        the pair table, in one numpy pass for all of them, and a larger
-        cluster by a bordered append to its factor.
+        The weights are those ``block`` gives for the row, up to rounding,
+        but each larger cluster is one matrix-vector product and the rest
+        is scalar work: a batched block of one row costs two to three
+        times as much, in numpy calls.
         """
         chain = self.chain
-        size = int(self.size[h])
-        own = self.log_ml[h]
-        updates = self.updates = {}
-        if size == 1:
-            self.size[h] = 0
-            self.cands = None
-        elif size == 2:
-            members = self.clusters[h]
-            j = members[0] if members[1] == i else members[1]
-            self.size[h] = 1
-            self.first[h] = j
-            self.log_ml[h] = chain.single[j]
-        else:
-            self.size[h] = size - 1
-            self.log_ml[h], updates[h] = chain._changed(
-                self.clusters[h], chain._deletion, i, size - 1
-            )
-        if self.cands is None:
-            self.cands = self.size.nonzero()[0]
         cands = self.cands
+        if cands is None:
+            cands = self.cands = self.size.nonzero()[0]
+        h = labels[i]
+        home = int(cands.searchsorted(h))
         value = chain.pair[i].take(self.first.take(cands))
         log_w = value - self.log_ml.take(cands)  # log 1 + value - log_ml for a singleton
+        moves, rest = {}, 0.0
         for lab in self.multi:
+            idx = self.clusters[lab]
+            m = len(idx)
             if lab != h:
+                out = moves[lab] = chain._changed(idx, chain._border, i)
                 k = cands.searchsorted(lab)
-                idx = self.clusters[lab]
-                v, updates[lab] = chain._changed(idx, chain._border, i, len(idx) + 1)
-                value[k] = v
-                log_w[k] = log(len(idx)) + v - self.log_ml[lab]
-        if size == 1:
+                value[k] = x = chain._value(m + 1, *out.totals())
+                log_w[k] = log(m) + x - self.log_ml[lab]
+                continue
+            if m > 2:
+                out = moves[lab] = chain._changed(idx, chain._deletion, i)
+                rest = chain._value(m - 1, *out.totals())
+            else:  # the other member of a pair is left alone
+                rest = chain.single[idx[0] if idx[1] == i else idx[1]]
+            value[home] = self.log_ml[h]
+            log_w[home] = log(m - 1) + self.log_ml[h] - rest
+        value[-1] = x = chain.single[i]
+        log_w[-1] = self.log_alpha + x
+        relabel = []
+        if h not in self.multi:
+            log_w[home] = 0.0
+        ok = isfinite(log_w.sum())
+        if h not in self.multi:
+            log_w[home] = -inf
             home = cands.size - 1
-        else:
-            home = int(cands.searchsorted(h))
-            value[home] = own
-            log_w[home] = log(size - 1) + own - self.log_ml[h]
-        value[-1] = chain.single[i]
-        log_w[-1] = self.log_alpha + chain.single[i]
-        return cands, value, log_w, home
+            relabel = [0] if _fresh(cands, h, True) != h else []
+        # a non-finite weight is raised by the walk, unscaled
+        cum = np.exp(log_w - log_w.max()).cumsum() if ok else log_w
+        return _Block(i, 1, cands, [home], value[None], log_w[None], cum[None], [ok],
+                      [rest], relabel, moves, None)
 
-    def place(self, i: int, h: int, lab: int, value: float) -> None:
-        """Put i, which weights took out of h, into cluster lab, whose log
-        marginal with i is value; lab may be h or a label naming no cluster.
-        A move stores the factors of the updates weights computed for h and
-        lab; one whose Schur complement drifted is built from the new
-        cluster's Gram block instead."""
-        if lab != h:
-            clusters = self.clusters
-            members = clusters[h]
-            k = bisect_left(members, i)
-            rest = members[:k] + members[k + 1 :]
-            target = clusters.get(lab, ())
-            k = bisect_left(target, i)
-            key = clusters[lab] = target[:k] + (i,) + target[k:]
-            if rest:
-                clusters[h] = rest
-            else:
-                del clusters[h]
-            if len(rest) < 2:
-                self.multi.discard(h)
-            if len(key) > 1:
-                self.multi.add(lab)
-            else:
-                self.first[lab] = i
-            chain = self.chain
-            for old, new, c in ((members, rest, h), (target, key, lab)):
-                chain.factors.pop(old, None)
-                out = self.updates.pop(c, None)
-                if out is not None:
-                    drifted = _drifted(out.schur)
-                    chain.factors[new] = chain._build(new) if drifted else out.applied()
-        if not self.size[lab]:
+    def block(self, lo: int, hi: int, labels: list) -> _Block:
+        """Score the points lo..hi-1, whose labels are labels[lo:hi], each
+        as if it were the first to be taken out of its cluster.
+
+        The singleton candidates of all rows are one gather from the pair
+        table.  A cluster of two or more points is one matmul for the
+        appends of all rows and a gather from its inverse's diagonal for
+        the deletions of its members (``_column``); each row's log
+        marginals are then read off those columns in scalars.  The rows
+        are normalized at once.  Temporaries are O((hi - lo) n) floats.
+        """
+        chain = self.chain
+        cands = self.cands
+        if cands is None:
+            cands = self.cands = self.size.nonzero()[0]
+        mine = labels[lo:hi]
+        log_ml, marginal = self.log_ml, chain._value
+        appends, deletions, stop = self._updates(lo, hi, mine)
+        grow = [(lab, int(k), *appends[lab], log(len(self.clusters[lab])), float(log_ml[lab]))
+                for lab, k in zip(appends, cands.searchsorted(list(appends)))]
+        value = chain.pair[lo:hi].take(self.first.take(cands), axis=1)
+        value[:, -1] = chain.single[lo:hi]
+        log_w = value - log_ml.take(cands)  # log 1 + value - log_ml for a singleton
+        log_w[:, -1] = self.log_alpha + value[:, -1]
+        home = cands.searchsorted(mine)
+        rest = [0.0] * stop
+        alone = []
+        with np.errstate(all="ignore"):  # a non-finite weight is raised by the walk
+            for r in range(stop):
+                h = mine[r]
+                for lab, k, f, _, s, t, ln, lm in grow:
+                    if lab != h:
+                        x = marginal(f.b.size + 1, *_grown(f, s[r], t[r]))
+                        value[r, k] = x
+                        log_w[r, k] = ln + x - lm
+                if h not in appends:
+                    alone.append(r)
+                    continue
+                f = appends[h][0]
+                m = f.b.size
+                if m > 2:
+                    rest[r] = marginal(m - 1, *_shrunk(f, *deletions[r]))
+                else:  # the other member of a pair is left alone
+                    idx = self.clusters[h]
+                    rest[r] = chain.single[idx[0] if idx[1] == lo + r else idx[1]]
+                value[r, home[r]] = log_ml[h]
+                log_w[r, home[r]] = log(m - 1) + log_ml[h] - rest[r]
+            log_w = log_w[:stop]
+            if alone:
+                log_w[alone, home[alone]] = 0.0
+            ok = np.isfinite(log_w.sum(axis=1))
+            if alone:
+                log_w[alone, home[alone]] = -inf
+                home[alone] = cands.size - 1
+            cum = np.exp(log_w - log_w.max(axis=1, keepdims=True)).cumsum(axis=1)
+        relabel = [r for r in alone if _fresh(cands, mine[r], True) != mine[r]]
+        return _Block(lo, stop, cands, home, value, log_w, cum, ok, rest, relabel,
+                      appends, deletions)
+
+    def _updates(self, lo: int, hi: int, mine: list) -> tuple:
+        """(appends, deletions, stop) of the points lo..hi-1, whose labels
+        are mine, as ``_Block`` holds them.
+
+        stop is the first row at which an update drifted, or hi - lo.
+        Drift at row 0 rebuilds the factor from its Gram block once, and
+        the rebuilt one must give the row a positive Schur complement.
+        """
+        chain = self.chain
+        own = {}  # the label of a larger cluster -> the rows of its members
+        for r, h in enumerate(mine):
+            if h in self.multi:
+                own.setdefault(h, []).append(r)
+        appends, deletions = {}, {}
+        stop = hi - lo
+        with np.errstate(all="ignore"):  # rows past a drifted one are never read
+            for lab in self.multi:
+                rows = own.get(lab, ())
+                out = self._column(lab, lo, hi, rows, deletions)
+                bad = _first_drift(out[2])
+                if bad == 0:
+                    idx = self.clusters[lab]
+                    chain.factors[idx] = chain._build(idx)
+                    out = self._column(lab, lo, hi, rows, deletions)
+                    if not 0.0 < out[2][0] < inf:
+                        raise NotPositiveDefinite(
+                            f"Schur complement {out[2][0]} in a cluster of {len(idx)}"
+                        )
+                    bad = _first_drift(out[2], 1)
+                if bad is not None:
+                    stop = min(stop, bad)
+                appends[lab] = out
+        return appends, deletions, stop
+
+    def _column(self, lab: int, lo: int, hi: int, own, deletions: dict) -> tuple:
+        """(f, v, schur, t): the appends of the points lo..hi-1 to cluster
+        lab, one matmul with its factor f.  Row r of v is A^-1 g for point
+        lo + r, and schur[r] = 1 + g_ii - g^T v and t[r] = 1 - 1^T v are
+        what a _Border holds.  For the rows own of lab's members, schur
+        holds the deletion's instead, 1 / d, and deletions[r] its
+        (pos, d), d = (A^-1)_pos,pos; a pair's member, which leaves a
+        singleton with no factor, gets 1.
+        """
+        chain = self.chain
+        f = chain._factor(self.clusters[lab])
+        g = chain.gram[lo:hi].take(f.order, axis=1)
+        v = g @ f.inv.T
+        schur = (chain._one[lo:hi] - (g * v).sum(axis=1)).tolist()
+        t = (1.0 - g @ f.b).tolist()
+        if own and f.b.size > 2:
+            where = dict(zip(f.order.tolist(), range(f.b.size)))
+            for r in own:
+                pos = where[lo + r]
+                d = float(f.inv[pos, pos])
+                deletions[r] = pos, d
+                schur[r] = 1.0 / d if d > 0.0 else -inf
+        else:
+            for r in own:
+                schur[r] = 1.0
+        return f, v, schur, t
+
+    def place(self, i: int, h: int, lab: int, value: float, rest: float, updates: dict) -> None:
+        """Move point i from cluster h to cluster lab, a label that may name
+        no cluster.  value is lab's log marginal with i, rest h's without
+        it (unread if i was alone), and updates holds, by label, the
+        updates that scored them (``_Block.updates``).  The move stores
+        their factors; one whose Schur complement drifted is built from
+        the new cluster's Gram block instead."""
+        clusters = self.clusters
+        members = clusters[h]
+        k = bisect_left(members, i)
+        left = members[:k] + members[k + 1 :]
+        target = clusters.get(lab, ())
+        k = bisect_left(target, i)
+        key = clusters[lab] = target[:k] + (i,) + target[k:]
+        if left:
+            clusters[h] = left
+        else:
+            del clusters[h]
+        if len(left) < 2:
+            self.multi.discard(h)
+        if len(left) == 1:
+            self.first[h] = left[0]
+        if len(key) > 1:
+            self.multi.add(lab)
+        else:
+            self.first[lab] = i
+        chain = self.chain
+        for old, new, c in ((members, left, h), (target, key, lab)):
+            chain.factors.pop(old, None)
+            out = updates.get(c)
+            if out is not None:
+                drifted = _drifted(out.schur)
+                chain.factors[new] = chain._build(new) if drifted else out.applied()
+        if not left or not target:
             self.cands = None
+        self.size[h] -= 1
         self.size[lab] += 1
+        self.log_ml[h] = rest
         self.log_ml[lab] = value
 
 
@@ -533,14 +754,21 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     sweep that moves no point leaves a stay record in state.stay (else
     None), which only run_chain tests.
 
-    The scan fills a ``_Scan`` of the partition at entry.  For each point
-    in turn, ``_Scan.weights`` gives the log weights of its candidates,
-    which are normalized, summed and searched in numpy, and
-    ``_Scan.place`` records the pick.  The weight of a point's own
-    cluster is the log marginal that cluster holds at the point's turn,
-    so a point that stays leaves log_ml as it found it.  Member tuples
-    are rebuilt only for a point that changes cluster.  data must have
-    one row per label.
+    The scan runs in blocks of consecutive points, each scored against
+    the partition at its start, which is the partition every point of it
+    sees up to the first that changes it: by ``_Scan.block``, or by
+    ``_Scan.lone`` if it has fewer than _BATCH rows, when it is cut to
+    one row.  The block's rows are normalized, summed and searched at
+    once, and the walk stops at the first row that moves its point, or
+    relabels a point alone by putting it in the new-cluster slot;
+    ``_Scan.place`` applies that row, with the updates that scored it,
+    and the next block starts after it.  The rows before it stayed and
+    change nothing, and those after it are dropped unread.  A block is
+    one row after a move and twice the last one after a block walked
+    through, up to _ROWS rows, so a sweep that moves no point takes about
+    log2(n) + n / _ROWS blocks and one that moves most points one row a
+    block.  Temporaries are O(_ROWS n) floats.  data must have one row
+    per label.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != len(state.labels):
@@ -555,7 +783,7 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     labels = state.labels
     n = len(labels)
     rng_state = state.rng.bit_generator.state
-    us = state.rng.random(n).tolist()
+    us = state.rng.random(n)
     snapshot = (
         list(labels),
         dict(state.clusters),
@@ -563,41 +791,65 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
         dict(chain.factors),
         rng_state,
     )
-    # per point: the cumulative weights below and at its own slot, and their total
-    bounds = []
+    # while no point has moved: per walked row, the cumulative weights
+    # below and at its own slot, and their total
+    walked = []
     moved = False
     scan = _Scan(chain, state.clusters, state.log_ml, state.crp.alpha)
     try:
-        for i in range(n):
-            h = labels[i]
-            cands, value, log_w, home = scan.weights(i, h)
-            if not isfinite(log_w.sum()):
+        i, rows = 0, 1
+        while i < n:
+            hi = min(i + rows, n, i + _ROWS)
+            blk = scan.block(i, hi, labels) if hi - i >= _BATCH else scan.lone(i, labels)
+            w, cum, home = blk.stop, blk.cum, blk.home
+            last = cum.shape[1] - 1  # the new-cluster slot
+            # the count of cumulative weights <= u total (searchsorted
+            # "right"), short of the last slot, whose interval is open above
+            if w == 1:  # a lone row, in scalars
+                pick = [min(int(cum[0].searchsorted(us[i] * cum[0, -1], "right")), last)]
+                r = 0 if pick[0] != home[0] or not blk.ok[0] else 1
+            else:
+                pick = (cum[:w, :-1] <= (us[i : i + w] * cum[:w, -1])[:, None]).sum(axis=1)
+                edit = (pick != home[:w]) | ~blk.ok[:w]
+                r = int(edit.argmax())
+                if not edit[r]:
+                    r = w
+            if blk.relabel and blk.relabel[0] < r:
+                r = blk.relabel[0]  # a point alone that stays, relabelled
+            if not moved:  # the walked rows' slots and totals
+                if w == 1:
+                    c, k = cum[0], home[0]
+                    walked.append((c[k - 1] if k else -inf, c[k] if k < last else inf, c[-1]))
+                else:
+                    rr = np.arange(min(r + 1, w))
+                    k = home[rr]
+                    walked += zip(np.where(k > 0, cum[rr, k - 1], -inf).tolist(),
+                                  np.where(k < last, cum[rr, k], inf).tolist(),
+                                  cum[rr, -1].tolist())
+            if r == w:
+                i += w
+                rows *= 2
+                continue
+            if not blk.ok[r]:
                 raise FloatingPointError(
-                    f"non-finite reassignment weight for observation {i}"
+                    f"non-finite reassignment weight for observation {i + r}"
                 )
-            cum = np.exp(log_w - log_w.max()).cumsum()
-            k = cands.size - 1  # the clusters; cands[k] is the new-cluster slot
-            pick = min(int(cum.searchsorted(us[i] * cum[-1], "right")), k)
-            moved = moved or pick != home
-            # the min above clamps the last slot, so its interval is open above
-            bounds.append((
-                cum[home - 1] if home else -inf,
-                cum[home] if home < k else inf,
-                cum[-1],
-            ))
-            if pick < k:
-                lab = int(cands[pick])
-            else:  # a new cluster, labelled one past the largest
-                lab = int(cands[k - 1]) + 1 if k else 1
-            scan.place(i, h, lab, value[pick])
-            labels[i] = lab
+            p = int(pick[r])
+            h = labels[i + r]
+            lab = int(blk.cands[p]) if p < last else _fresh(blk.cands, h, home[r] == last)
+            if p != home[r]:
+                moved = True
+                rows = 1
+            scan.place(i + r, h, lab, blk.value[r, p], blk.rest[r], blk.updates(r, h, lab))
+            labels[i + r] = lab
+            i += r + 1
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):
         (state.labels, state.clusters, state.log_ml, chain.factors,
          state.rng.bit_generator.state) = snapshot
         raise
     _canonicalize(state, scan.log_ml.tolist())
     if not moved:
-        state.stay = _Stay(*np.array(bounds).T)
+        state.stay = _Stay(*np.array(walked).T)
     state.sweep_index += 1
     return state
 

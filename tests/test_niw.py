@@ -310,11 +310,24 @@ def _two_pass_standardize(y):
 def test_row_standardize_bitwise_equals_two_pass_formula(y):
     before = y.copy()
     centered = y - y.mean(axis=1, keepdims=True)
-    if not ((centered ** 2).sum(axis=1) > 0).all():
+    sumsq = (centered ** 2).sum(axis=1)
+    normal = sumsq >= np.finfo(float).tiny
+    if not centered.any(axis=1).all():
+        with pytest.raises(ConstantRow):
+            row_standardize(y)
+    elif (~normal & (np.ptp(centered, axis=1) == 0)).any():
+        # equal centred entries too small to square are the residue of a
+        # rounded mean: the row is constant
         with pytest.raises(ConstantRow):
             row_standardize(y)
     else:
-        assert np.array_equal(row_standardize(y), _two_pass_standardize(y))
+        out = row_standardize(y)
+        # a row whose squares underflow is rescaled first, so only its
+        # mean and spread are held to the definition
+        assert np.array_equal(out[normal], _two_pass_standardize(y[normal]))
+        p = y.shape[1]
+        assert np.allclose(out[~normal].mean(axis=1), 0.0, atol=1e-12)
+        assert np.allclose((out[~normal] ** 2).sum(axis=1), p - 1, rtol=1e-12)
     # it works on a copy, even when it raises
     assert np.array_equal(y, before)
 
@@ -333,3 +346,15 @@ def test_row_standardize_peak_memory_is_one_copy():
 def test_row_standardize_rejects_constant_rows():
     with pytest.raises(ConstantRow, match="row 1 has zero sample variance"):
         row_standardize(np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-300, 1e-320])
+def test_row_standardize_rescales_a_tiny_spread(scale):
+    # the squares of a row 1e-200 apart underflow to 0, yet the row is not
+    # constant: it standardizes as the same row at unit scale does
+    y = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 6.0]]) * scale
+    out = row_standardize(y)
+    assert np.allclose(out, row_standardize(y / scale), rtol=1e-12, atol=1e-15)
+    assert np.allclose(out[0], [-1.0, 0.0, 1.0], rtol=1e-12, atol=1e-15)
+    with pytest.raises(ConstantRow, match="row 2 has zero sample variance"):
+        row_standardize(np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]]) * scale)

@@ -1,5 +1,7 @@
 """Collapsed Gibbs chain: exactness on tiny problems, plumbing, summaries."""
 
+from math import log
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,18 +243,21 @@ def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     assert set(chain.factors) == {idx for idx in state.clusters.values() if len(idx) > 1}
     for idx, f in chain.factors.items():
         _assert_matches_build(chain, idx, f, rel=1e-8)
-    # every removal and append a scan of the final state reads
+    # every removal and append a scan of the final state reads, from one
+    # block of all its points
+    scan = sampler._Scan(chain, state.clusters, state.log_ml, 1.0)
+    block = scan.block(0, len(data), state.labels)
+    assert block.stop == len(data)
     checked = 0
     for i, h in enumerate(state.labels):
         members = state.clusters[h]
         if len(members) > 2:
             rest = tuple(j for j in members if j != i)
-            value, _ = chain._changed(members, chain._deletion, i, len(rest))
+            value = block.rest[i]
             assert value == pytest.approx(_direct(data, prior, rest), rel=1e-8)
             checked += 1
         labs = [lab for lab in state.clusters if lab != h]
-        scan = sampler._Scan(chain, state.clusters, state.log_ml, 1.0)
-        cands, values, _, _ = scan.weights(i, h)
+        cands, values = block.cands, block.value[i]
         grown = dict(zip(cands.tolist(), values.tolist()))
         assert set(grown) - {h, scan.new} == set(labs)
         for lab in labs:
@@ -272,10 +277,17 @@ def _singletons(chain):
 def test_batched_singleton_weights_match_per_candidate():
     data, prior = _mixing_problem(n=12, p=30)
     chain = sampler._ChainCache(data, prior)
+    labels = list(range(1, 13))
     for i in (0, 5, 11):
-        cands, values, log_w, home = _singletons(chain).weights(i, i + 1)
+        block = _singletons(chain).block(i, i + 1, labels)
+        cands, values, log_w, home = block.cands, block.value[0], block.log_w[0], block.home[0]
+        # the point's own singleton is a column of zero weight; its home
+        # is the new-cluster slot
+        own = i
+        assert cands[own] == i + 1 and log_w[own] == -np.inf
+        cands, values, log_w = (np.delete(a, own) for a in (cands, values, log_w))
         labs = cands[:-1]
-        assert len(labs) == len(log_w) - 1 == 11 and home == 11
+        assert len(labs) == len(log_w) - 1 == 11 and home == 12
         for lab, value, w in zip(labs, values, log_w):
             pair = tuple(sorted((lab - 1, i)))
             f = chain._build(pair)
@@ -369,11 +381,13 @@ def test_drifted_factor_is_rebuilt():
     members = (0, 2, 3, 5)
     chain.log_marginal(members)
     good = chain.factors[members]
+    labels = [1, 3, 1, 1, 4, 1, 5, 2]
 
     # (A^-1)_ii = 2 means a Schur complement of 1/2 < 1: drift
     chain.factors[members] = good._replace(inv=2.0 * np.eye(4))
     rest = (0, 2, 5)
-    value, _ = chain._changed(members, chain._deletion, 3, 3)
+    scan = sampler._Scan(chain, {1: members}, {1: 0.0}, 1.0)
+    value = scan.block(3, 4, labels).rest[0]
     assert value == pytest.approx(_direct(data, prior, rest), rel=1e-10)
     assert np.allclose(chain.factors[members].inv, good.inv)
     # a non-finite factor is drift too, for a grow as for a removal
@@ -381,7 +395,8 @@ def test_drifted_factor_is_rebuilt():
     chain.factors[members] = nan_factor
     key = (0, 2, 3, 5, 7)
     scan = sampler._Scan(chain, {1: members, 2: (7,)}, {1: 0.0, 2: chain.single[7]}, 1.0)
-    cands, values, _, _ = scan.weights(7, 2)
+    block = scan.block(7, 8, labels)
+    cands, values = block.cands, block.value[0]
     assert cands[0] == 1
     assert values[0] == pytest.approx(_direct(data, prior, key), rel=1e-10)
     # and a move that applies a drifted update builds the new cluster
@@ -390,9 +405,13 @@ def test_drifted_factor_is_rebuilt():
     nan_pair = chain._build(pair)._replace(inv=np.full((2, 2), np.nan))
     chain.factors = {members: nan_factor, pair: nan_pair}
     scan = sampler._Scan(chain, {1: members, 2: pair}, {1: 0.0, 2: 0.0}, 1.0)
-    cands, values, _, _ = scan.weights(3, 1)
-    scan.updates = {1: chain._deletion(nan_factor, 3), 2: chain._border(nan_pair, 3)}
-    scan.place(3, 1, 2, values[cands.searchsorted(2)])
+    block = scan.block(3, 4, labels)  # rebuilds both factors
+    cands, values = block.cands, block.value[0]
+    assert values[cands.searchsorted(2)] == pytest.approx(
+        _direct(data, prior, (1, 3, 6)), rel=1e-10)
+    chain.factors = {members: nan_factor, pair: nan_pair}
+    updates = {1: chain._deletion(nan_factor, 3), 2: chain._border(nan_pair, 3)}
+    scan.place(3, 1, 2, values[cands.searchsorted(2)], block.rest[0], updates)
     assert set(chain.factors) == {rest, (1, 3, 6)}
     for idx, f in chain.factors.items():
         ref = chain._build(idx)
@@ -400,35 +419,32 @@ def test_drifted_factor_is_rebuilt():
 
 
 def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
-    # place stores the applied factors of the updates weights kept, bit for
-    # bit, and scores no append or deletion of its own
+    # place stores the applied factors of the updates its block (or lone
+    # row) scored, bit for bit, and scores no append or deletion of its own
     data, prior = _mixing_problem()
-    chain_cls = sampler._ChainCache
-    border, deletion = chain_cls._border, chain_cls._deletion
     place = sampler._Scan.place
-    inside = []  # appends and deletions scored inside place
+    inside = []  # block scoring done inside place
     applied = 0
     in_place = False
 
-    def spy(step):
+    def spy(name, step):
         def wrapper(*args):
             if in_place:
-                inside.append(step.__name__)
+                inside.append(name)
             return step(*args)
         return wrapper
 
-    def placing(scan, i, h, lab, value):
+    def placing(scan, i, h, lab, value, rest, updates):
         nonlocal applied, in_place
         expected = []
-        if lab != h:
-            for c in (h, lab):
-                out = scan.updates.get(c)
-                if out is not None:
-                    assert not sampler._drifted(out.schur)
-                    expected.append(out.applied())
+        for c in (h, lab):
+            out = updates.get(c)
+            if out is not None:
+                assert not sampler._drifted(out.schur)
+                expected.append(out.applied())
         in_place = True
         try:
-            place(scan, i, h, lab, value)
+            place(scan, i, h, lab, value, rest, updates)
         finally:
             in_place = False
         for f in expected:
@@ -436,8 +452,12 @@ def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(stored, f))
             applied += 1
 
-    monkeypatch.setattr(chain_cls, "_border", spy(border))
-    monkeypatch.setattr(chain_cls, "_deletion", staticmethod(spy(deletion)))
+    chain_cls = sampler._ChainCache
+    monkeypatch.setattr(sampler._Scan, "_column", spy("_column", sampler._Scan._column))
+    monkeypatch.setattr(chain_cls, "_border", spy("_border", chain_cls._border))
+    monkeypatch.setattr(chain_cls, "_deletion", staticmethod(spy("_deletion", chain_cls._deletion)))
+    monkeypatch.setattr(sampler._Scan, "block", spy("block", sampler._Scan.block))
+    monkeypatch.setattr(sampler._Scan, "lone", spy("lone", sampler._Scan.lone))
     monkeypatch.setattr(sampler._Scan, "place", placing)
     state = init_state(data, prior, CrpPrior(1.0), 4, init="single")
     for _ in range(20):
@@ -445,6 +465,139 @@ def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
     state.check_consistency(data)
     assert not inside, inside
     assert applied > 100, applied
+
+
+def _oracle_log_w(data, prior, clusters, i, h, alpha, cands, new):
+    """The log weights of point i of cluster h over cands, each from
+    cluster_log_marginal; a singleton's own column is -inf."""
+    def lm(idx):
+        return cluster_log_marginal(data[sorted(idx)], prior)
+
+    out = []
+    for lab in cands:
+        if lab == new:
+            out.append(log(alpha) + lm((i,)))
+        elif lab == h:
+            rest = tuple(j for j in clusters[h] if j != i)
+            out.append(log(len(rest)) + lm(clusters[h]) - lm(rest) if rest else -np.inf)
+        else:
+            idx = clusters[lab]
+            out.append(log(len(idx)) + lm(idx + (i,)) - lm(idx))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_block_weights_match_direct_marginals(monkeypatch, batch):
+    # every row a sweep scores agrees with the marginals of the partition
+    # at its block's start, for points alone, in pairs and in larger
+    # clusters, and a block cut short by a move is scored again, from the
+    # row after the mover, against the partition that move left; batch 1
+    # scores every block batched, batch 2 a lone row alone
+    monkeypatch.setattr(sampler, "_BATCH", batch)
+    data, prior = _mixing_problem(n=10)
+    alpha = 0.7
+    block, lone = sampler._Scan.block, sampler._Scan.lone
+    seen = {"alone": 0, "pair": 0, "larger": 0, "rescored": 0, "lone": 0}
+    last = []  # (lo, stop, the partition) of the last block
+
+    def checked(scan, lo, hi, labels):
+        clusters = dict(scan.clusters)
+        if hi is None:
+            out = lone(scan, lo, labels)
+            seen["lone"] += 1
+        else:
+            out = block(scan, lo, hi, labels)
+        for r in range(out.stop):
+            i, h = lo + r, labels[lo + r]
+            want = _oracle_log_w(data, prior, clusters, i, h, alpha,
+                                 out.cands.tolist(), scan.new)
+            assert out.ok[r]
+            assert np.allclose(out.log_w[r], want, rtol=1e-10, atol=1e-10)
+            assert np.array_equal(np.isinf(out.log_w[r]), np.isinf(want))
+            size = len(clusters[h])
+            seen["alone" if size == 1 else "pair" if size == 2 else "larger"] += 1
+        # a block cut short by a move (not by a point alone relabelled)
+        if last and last[0][0] < lo < last[0][0] + last[0][1]:
+            seen["rescored"] += set(last[0][2].values()) != set(clusters.values())
+        last[:] = [(lo, out.stop, clusters)]
+        return out
+
+    monkeypatch.setattr(sampler._Scan, "block", checked)
+    monkeypatch.setattr(sampler._Scan, "lone", lambda scan, i, labels: checked(scan, i, None, labels))
+    for seed, init in ((1, "single"), (2, "singletons")):
+        state = init_state(data, prior, CrpPrior(alpha), seed, init=init)
+        for _ in range(15):
+            gibbs_sweep(state, data)
+            last.clear()
+        state.check_consistency(data)
+    if batch == 1:
+        assert seen.pop("lone") == 0
+    assert min(seen.values()) > 5, seen
+
+
+def test_a_lone_row_scores_as_a_block_of_one_row():
+    # the two ways of scoring one row agree up to rounding, on every row of
+    # partitions with singletons, pairs and larger clusters
+    data, prior = _mixing_problem(n=12)
+    chain = sampler._ChainCache(data, prior)
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(20):
+        labels = (rng.integers(1, 6, 12)).tolist()
+        clusters = {}
+        for j, lab in enumerate(labels):
+            clusters.setdefault(lab, []).append(j)
+        clusters = {lab: tuple(idx) for lab, idx in clusters.items()}
+        log_ml = {lab: chain.log_marginal(idx) for lab, idx in clusters.items()}
+        scan = sampler._Scan(chain, clusters, log_ml, 0.5)
+        for i in range(12):
+            one, lone = scan.block(i, i + 1, labels), scan.lone(i, labels)
+            assert one.stop == lone.stop == 1
+            assert np.array_equal(one.cands, lone.cands)
+            assert list(one.home) == list(lone.home) and one.relabel == lone.relabel
+            assert np.allclose(one.log_w, lone.log_w, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(np.isinf(one.log_w), np.isinf(lone.log_w))
+            assert one.rest[0] == pytest.approx(lone.rest[0], rel=1e-12, abs=1e-12)
+            for lab in clusters:
+                a, b = one.updates(0, labels[i], lab), lone.updates(0, labels[i], lab)
+                assert a.keys() == b.keys()
+                for c in a:
+                    assert a[c].schur == pytest.approx(b[c].schur, rel=1e-12)
+            checked += 1
+    assert checked == 240
+
+
+def test_a_scan_that_moves_no_point_takes_few_blocks(monkeypatch):
+    # two well-separated groups of about 200 settle at k = 2 by the
+    # fourth sweep; a scan of the settled state scores a few lone rows,
+    # then blocks of _BATCH, twice as many, ... rows, at most _ROWS; a
+    # count, without a timing
+    n, p = 400, 10
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((n, p)) + rng.integers(0, 2, n)[:, None] * 10.0
+    prior = robust_prior(p, RobustPriorSpec(1.0, 2.0))
+    block, lone = sampler._Scan.block, sampler._Scan.lone
+    calls = []
+
+    def counted(scan, lo, hi, labels):
+        calls.append(hi - lo)
+        return block(scan, lo, hi, labels)
+
+    def counted_lone(scan, i, labels):
+        calls.append(1)
+        return lone(scan, i, labels)
+
+    monkeypatch.setattr(sampler._Scan, "block", counted)
+    monkeypatch.setattr(sampler._Scan, "lone", counted_lone)
+    state = init_state(data, prior, CrpPrior(1.0), 0, init="singletons")
+    for _ in range(10):
+        calls.clear()
+        gibbs_sweep(state, data)
+        if state.stay is not None:
+            break
+    assert state.stay is not None and state.k() == 2
+    assert sum(calls) == n
+    assert len(calls) <= 2 * np.log2(n) + 2, calls
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -510,16 +663,18 @@ def test_failed_sweep_rolls_back_completely(monkeypatch):
     for sweep in range(8):
         if sweep in (1, 4):
             chain = state.chain
-            weights = sampler._Scan.weights
             calls = []
 
-            def failing(scan, i, *args):
-                calls.append(i)
-                if len(calls) == 13:
-                    raise FloatingPointError("injected")
-                return weights(scan, i, *args)
+            def failing(score):
+                def wrapper(scan, lo, *args):
+                    calls.append(lo)
+                    if len(calls) == 13:
+                        raise FloatingPointError("injected")
+                    return score(scan, lo, *args)
+                return wrapper
 
-            monkeypatch.setattr(sampler._Scan, "weights", failing)
+            monkeypatch.setattr(sampler._Scan, "block", failing(sampler._Scan.block))
+            monkeypatch.setattr(sampler._Scan, "lone", failing(sampler._Scan.lone))
             factors = dict(chain.factors)
             with pytest.raises(FloatingPointError, match="injected"):
                 gibbs_sweep(state, data)
@@ -737,18 +892,17 @@ def test_failed_scan_after_a_stay_test_restores_the_rng(monkeypatch):
     rng_state = state.rng.bit_generator.state
     assert rng_state == ref.rng.bit_generator.state
     labels = list(state.labels)
-    weights = sampler._Scan.weights
-
-    def failing(scan, i, *args):
+    def failing(scan, lo, *args):
         raise FloatingPointError("injected")
 
-    monkeypatch.setattr(sampler._Scan, "weights", failing)
+    monkeypatch.setattr(sampler._Scan, "block", failing)
+    monkeypatch.setattr(sampler._Scan, "lone", failing)
     with pytest.raises(FloatingPointError, match="injected"):
         gibbs_sweep(state, data)
     assert state.rng.bit_generator.state == rng_state
     assert state.labels == labels
     assert state.stay is None
-    monkeypatch.setattr(sampler._Scan, "weights", weights)
+    monkeypatch.undo()
     for _ in range(5):
         gibbs_sweep(state, data)
         gibbs_sweep(ref, data)
