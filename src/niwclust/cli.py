@@ -24,6 +24,7 @@ so the outputs are byte-identical at any CPU count.
 """
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -187,19 +188,32 @@ def _resolve_prior(cfg: argparse.Namespace, kind: str, p: int) -> NiwPrior:
     )
 
 
+def _median(values) -> float:
+    """np.median of a nonempty 1-d sequence, bit for bit: the middle value,
+    or (a + b) / 2 of the two middle ones, and NaN if any value is NaN.
+    np.median's first call imports numpy.ma, which takes longer than
+    most commands' own median work."""
+    xs = [float(v) for v in values]
+    if any(v != v for v in xs):
+        return math.nan
+    xs.sort()
+    k = len(xs) // 2
+    return xs[k] if len(xs) % 2 else (xs[k - 1] + xs[k]) / 2
+
+
 def _medians_by_p(table: CsvTable, value_col: str):
     cols = {name: i for i, name in enumerate(table.names)}
     ps = table.values[:, cols["p"]]
     vs = table.values[:, cols[value_col]]
-    grid = np.unique(ps)
-    return grid, np.array([np.median(vs[ps == p]) for p in grid])
+    grid = np.array(sorted(set(ps.tolist())))
+    return grid, np.array([_median(vs[ps == p]) for p in grid])
 
 
 def _median_ari(summary: PosteriorSummary, truth: Partition) -> float:
     """Median ARI against truth over the kept post-burnin sweeps."""
     trace = summary.label_trace
     score = {lab: adjusted_rand_index(lab, truth) for lab in set(trace)}
-    return float(np.median([score[lab] for lab in trace]))
+    return _median([score[lab] for lab in trace])
 
 
 def _usable_cpus() -> int:
@@ -269,9 +283,9 @@ def cmd_limits(cfg: argparse.Namespace) -> None:
             det_kappas = [br.term_det_kappa for br in brs]
             closed = det_kappa_term_log(p, prior.kappa0, prior.nu0, cfg.n1, cfg.n2)
             print(
-                f"limits p={p} total_median={np.median(totals):.6g} "
+                f"limits p={p} total_median={_median(totals):.6g} "
                 f"total_limit={limits.total_limit:.6g} "
-                f"det_kappa_median={np.median(det_kappas):.6g} "
+                f"det_kappa_median={_median(det_kappas):.6g} "
                 f"det_kappa_closed={closed:.6g} "
                 f"det_kappa_limit={limits.det_kappa_limit:.6g}"
             )
@@ -315,7 +329,7 @@ def cmd_projector(cfg: argparse.Namespace) -> None:
     with _replicate_pool(cfg.replicates) as pool:
         for gi, p in enumerate(cfg.p_grid):
             residuals = list(pool.map(partial(replicate, gi, p), range(cfg.replicates)))
-            med = float(np.median(residuals))
+            med = _median(residuals)
             rows.append([p, med])
             print(f"projector p={p} n={cfg.n1} median_residual={med:.6g}")
     _write_outputs(cfg, "projector", rows)
@@ -405,7 +419,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> None:
         degenerate = [row[col] for row in rows[i * cfg.replicates : (i + 1) * cfg.replicates]]
         print(
             f"sweep p={p} prior={kind} "
-            f"degenerate_frac_median={np.median(degenerate):.6g}"
+            f"degenerate_frac_median={_median(degenerate):.6g}"
         )
     _write_outputs(cfg, "sweep", rows)
 

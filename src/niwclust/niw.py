@@ -490,10 +490,10 @@ def row_standardize(y) -> NDArray[np.float64]:
     ValueError, DomainError
         As :func:`as_observations` raises them.
     ConstantRow
-        If some row has zero sample variance: its entries, less their
-        mean, are all zero, or all equal and too small to square.  A row
-        of tiny spread (1e-200 apart, say) is not constant; it is
-        rescaled by a power of two and standardized.
+        If some row has zero sample variance: its entries are all equal,
+        whatever their mean rounds to.  A row of tiny spread (1e-200
+        apart, say) is not constant; it is rescaled by a power of two and
+        standardized.
     DomainError
         If p < 2 (sample variance needs two entries), or if some row's
         sum of squares overflows; the row is named.
@@ -509,30 +509,38 @@ def _standardize_rows(y: NDArray[np.float64]) -> None:
     :func:`row_standardize`; it raises as that function documents, but
     leaves :func:`as_observations` to its caller.
 
-    Besides y it holds one row: the sums of squares are taken a row at
-    a time in one buffer, each the same pairwise sum that
-    (y**2).sum(axis=1) takes, so the result is bit-identical to the
-    two-pass formula.  A centred row whose sum of squares falls below
-    the smallest normal double (its squares underflow) is first scaled
-    by the exact power of two that brings its largest |entry| into
-    [0.5, 1), and centred again; it is constant only if its centred
-    entries are all equal, the residue of a rounded mean.
+    Besides y it holds one row and the row means: the sums of squares
+    are taken a row at a time in one buffer, each the same pairwise sum
+    that (y**2).sum(axis=1) takes, so the result is bit-identical to the
+    two-pass formula.  A row of equal entries centres to the residue of
+    its rounded mean, equal entries of at most a few eps |mean|; so a row
+    whose root mean square is within 16 eps |mean|, or whose sum of
+    squares is below the smallest normal double, is constant if its
+    centred entries are all equal.  (Those entries are then exact
+    differences, so they are equal only if the row's entries are.)
+    Other rows take no extra pass.  A row whose squares underflow and
+    that is not constant is scaled by the exact power of two that brings
+    its largest |entry| into [0.5, 1), and centred again.
     """
     p = y.shape[1]
     if p < 2:
         raise DomainError("row standardization needs p >= 2")
     buf = np.empty(p)
+    tiny = np.finfo(float).tiny
     with np.errstate(over="ignore", invalid="ignore"):
-        y -= y.mean(axis=1, keepdims=True)
+        mean = y.mean(axis=1, keepdims=True)
+        y -= mean
         sumsq = np.array([np.multiply(r, r, out=buf).sum() for r in y])
-        for i in np.flatnonzero(sumsq < np.finfo(float).tiny):
-            top = np.abs(y[i]).max()
-            if top > 0.0:
-                np.ldexp(y[i], -np.frexp(top)[1], out=y[i])
-                if y[i].min() == y[i].max():
-                    y[i] = 0.0  # equal entries: the residue of a rounded mean
-                else:  # the mean of subnormal entries is rounded coarsely
-                    y[i] -= y[i].mean()
+        # the rounded mean of p equal entries measured within 3 eps |mean|
+        # up to p = 1e5; 16 leaves room for numpy's pairwise sum
+        near = np.sqrt(sumsq / p) <= 16.0 * np.finfo(float).eps * np.abs(mean[:, 0])
+        for i in np.flatnonzero((sumsq < tiny) | near):
+            if y[i].min() == y[i].max():  # equal entries: the residue of a rounded mean
+                y[i] = 0.0
+                sumsq[i] = 0.0
+            elif sumsq[i] < tiny:  # the mean of subnormal entries is rounded coarsely
+                np.ldexp(y[i], -np.frexp(np.abs(y[i]).max())[1], out=y[i])
+                y[i] -= y[i].mean()
                 sumsq[i] = np.multiply(y[i], y[i], out=buf).sum()
     bad = np.flatnonzero(~np.isfinite(sumsq))
     if bad.size:

@@ -11,17 +11,20 @@ weights are marginal-likelihood ratios
 normalized in log space with max-subtraction.  There is no separately
 coded predictive density; the weights come straight from the same
 marginal the rest of the package evaluates, via a per-chain cache of
-the transformed Gram matrix and of each cluster's inverse of I + G_c.
-After an O(n^2 p) setup, which also fills an n x n table of every
-pair's log marginal (n^2 floats, as the Gram matrix), one weight costs
-O(n_c^2) (a bordered append) and removing a point O(1) (a Schur
-deletion).  ``_Scan.block`` scores a block of consecutive points
-against the partition they all see until one of them changes it: the
-singleton candidates of every row are one gather from the pair table,
-each larger cluster is one matmul for the appends of all rows and one
-gather from its inverse's diagonal for the deletions of its members,
-and the weight of a point's own cluster is the log marginal that
-cluster already holds.  ``_Scan.lone`` scores a block of one row the
+the transformed Gram matrix and of a square root R of each cluster's
+(I + G_c)^-1 = R R^T.  After an O(n^2 p) setup, which also fills an
+n x n table of every pair's log marginal (n^2 floats, as the Gram
+matrix), the weight of a point joining a cluster costs one n_c-vector
+product with R, O(n_c^2), and the weight of one leaving it O(n_c), a
+dot product of its row of R.  Applying a move costs O(n_c^2) on each
+side: a join adds one row and column to R, and a departure reflects R
+once (``_Border``, ``_Deletion``).  ``_Scan.block`` scores a block of
+consecutive points against the partition they all see until one of
+them changes it: the singleton candidates of every row are one gather
+from the pair table, each larger cluster is one matmul for the appends
+of all rows and one gather of the rows of R for the deletions of its
+members, and the weight of a point's own cluster is the log marginal
+that cluster already holds.  ``_Scan.lone`` scores a block of one row the
 same way, with matrix-vector products and scalars.  gibbs_sweep walks
 a block's rows to the first that moves its point and applies that move
 alone; the next block starts after it.  A block is one row after a
@@ -53,7 +56,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from math import inf, isfinite, log
+from math import inf, isfinite, log, sqrt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -99,16 +102,19 @@ def _drifted(schur: float) -> bool:
 
 
 class _Factor(NamedTuple):
-    """Inverse of A = I + G_c for one cluster.
+    """A square root of the inverse of A = I + G_c for one cluster.
 
-    inv is A^-1 with rows and columns in the order of ``order``,
-    b = A^-1 1, s = 1^T b and log_det = log|A|.  An entry is never
-    mutated; an update builds a new one.
+    root is an m x m matrix R with R R^T = A^-1, its rows in the order
+    of ``order``: (A^-1)_jk is the dot product of rows j and k, so R^T is
+    a W with W^T W = A^-1.  z = R^T 1, s = z . z = 1^T A^-1 1 and
+    log_det = log|A|.  A^-1 = R R^T is positive semidefinite however R
+    is rounded, and each row has norm at most 1 since A >= I.  An entry
+    is never mutated; an update builds a new one.
     """
 
     order: np.ndarray
-    inv: np.ndarray
-    b: np.ndarray
+    root: np.ndarray
+    z: np.ndarray
     s: float
     log_det: float
 
@@ -120,20 +126,26 @@ def _grown(f: _Factor, schur: float, t: float) -> tuple:
     return f.log_det + log(schur), f.s + t * t / schur
 
 
-def _shrunk(f: _Factor, pos: int, d: float) -> tuple:
-    """(log|A|, 1^T A^-1 1) of f's cluster without the point at position
-    pos, from d = (A^-1)_pos,pos > 0."""
-    return f.log_det + log(d), f.s - f.b[pos] ** 2 / d
+def _shrunk(f: _Factor, d: float, c: float) -> tuple:
+    """(log|A|, 1^T A^-1 1) of f's cluster without a point whose row w of
+    f.root has d = w . w > 0 and c = w . z (see _Deletion)."""
+    return f.log_det + log(d), f.s - c * c / d
 
 
 class _Border(NamedTuple):
     """Append of point i to f's cluster: with g the Gram column of i,
-    v = A^-1 g, schur = 1 + g_ii - g^T v and t = 1 - 1^T v."""
+    l = R^T g, schur = 1 + g_ii - l . l and t = 1 - z . l.
+
+    Applied, it is R with one row and one column added: with v = R l =
+    A^-1 g and sigma = sqrt(schur), R' = [[R, -v / sigma], [0, 1 / sigma]]
+    and z' = [z, t / sigma].  That is one matrix-vector product and a
+    copy of R, O(m^2) memory traffic with no m x m arithmetic.
+    """
 
     schur: float
     f: _Factor
     i: int
-    v: np.ndarray
+    l: np.ndarray
     t: float
 
     def totals(self) -> tuple:
@@ -141,45 +153,71 @@ class _Border(NamedTuple):
         return _grown(self.f, self.schur, self.t)
 
     def applied(self) -> _Factor:
-        schur, f, i, v, t = self
+        schur, f, i, l, t = self
         log_det, s = self.totals()
-        m = v.size
-        inv = np.empty((m + 1, m + 1))
-        np.add(f.inv, np.multiply.outer(v, v / schur), out=inv[:m, :m])
-        inv[m, :m] = inv[:m, m] = -v / schur
-        inv[m, m] = 1.0 / schur
-        b = np.empty(m + 1)
-        b[:m] = f.b - v * (t / schur)
-        b[m] = t / schur
+        sigma = sqrt(schur)
+        m = l.size
+        root = np.empty((m + 1, m + 1))
+        root[:m, :m] = f.root
+        np.multiply(f.root.dot(l), -1.0 / sigma, out=root[:m, m])
+        root[m, :m] = 0.0
+        root[m, m] = 1.0 / sigma
+        z = np.empty(m + 1)
+        z[:m] = f.z
+        z[m] = t / sigma
         order = np.empty(m + 1, dtype=f.order.dtype)
         order[:m] = f.order
         order[m] = i
-        return _Factor(order, inv, b, s, log_det)
+        return _Factor(order, root, z, s, log_det)
 
 
 class _Deletion(NamedTuple):
-    """Deletion of the point at position pos of f's cluster:
-    d = (A^-1)_pos,pos and schur = 1 / d, or -inf if d <= 0."""
+    """Deletion of the point at position pos of f's cluster: with w its
+    row of R, d = w . w = (A^-1)_pos,pos, c = w . z and schur = 1 / d,
+    or -inf if d <= 0.
+
+    Applied, a Householder reflection H of the columns maps w onto the
+    last axis, so that the other rows' products with w all sit in the
+    last column; dropping that column and w's row leaves a root of the
+    smaller inverse (its Schur complement).  The last member takes the
+    deleted one's row.  That is one matrix-vector product and one
+    rank-one update, O(m^2), with one m x m temporary.
+    """
 
     schur: float
     f: _Factor
     pos: int
     d: float
+    c: float
 
     def totals(self) -> tuple:
         """(log|A|, 1^T A^-1 1) without the point; schur must not have drifted."""
-        return _shrunk(self.f, self.pos, self.d)
+        return _shrunk(self.f, self.d, self.c)
 
     def applied(self) -> _Factor:
-        _, f, pos, d = self
+        _, f, pos, d, c = self
         log_det, s = self.totals()
-        keep = np.arange(f.b.size - 1)  # every position but pos
-        keep[pos:] += 1
-        col = f.inv[pos].take(keep)
-        inv = f.inv.take(keep, 0).take(keep, 1)
-        inv -= np.multiply.outer(col, col / d)
-        b = f.b.take(keep) - col * (f.b[pos] / d)
-        return _Factor(f.order.take(keep), inv, b, s, log_det)
+        root, z, order = f.root, f.z, f.order
+        w = root[pos]
+        wk = float(w[-1])
+        # H = I - beta u u^T with u = w + a e_k maps w to -a e_k; a takes
+        # the sign of w_k, so u_k does not cancel
+        nw = sqrt(d)
+        a = nw if wk >= 0.0 else -nw
+        beta = 1.0 / (d + nw * abs(wk))
+        u = w.copy()
+        u[-1] += a
+        q = root.dot(u)
+        new = root[:-1, :-1].copy()
+        keep = order[:-1].copy()
+        if pos < w.size - 1:  # the last member takes the deleted one's row
+            new[pos] = root[-1, :-1]
+            q[pos] = q[-1]
+            keep[pos] = order[-1]
+        new -= np.multiply.outer(q[:-1], w[:-1] * beta)
+        # H (z - w) without its last entry, with u . (z - w) from c and d
+        gamma = beta * (c - d + a * (float(z[-1]) - wk))
+        return _Factor(keep, new, z[:-1] - w[:-1] * (1.0 + gamma), s, log_det)
 
 
 class _ChainCache:
@@ -189,16 +227,22 @@ class _ChainCache:
     part of the marginal (``niw.size_constants``), so a cluster's log
     marginal needs only log|I + G_c| and 1^T (I + G_c)^-1 1.  Those
     come from ``factors``, which maps the member tuple of a current
-    cluster of two or more points to its ``_Factor``.  Adding a point to
-    a cluster is a bordered append to its factor, O(n_c^2); removing one
-    is a Schur deletion, O(1) for the marginal.  Each singleton's
-    marginal is held in ``single``, and each pair's in the n x n table
-    ``pair``: pair[i, j] is the log marginal of {i, j}, in closed form
-    from its 2 x 2 Gram block.  The table costs n^2 floats, as G does.
+    cluster of two or more points to its ``_Factor``, a square root R of
+    (I + G_c)^-1 = R R^T and z = R^T 1.  Scoring a point's join is one
+    matrix-vector product with R, O(n_c^2), and its departure two dot
+    products with its row of R, O(n_c).  Applying either is O(n_c^2): a
+    join adds a row and a column to R with no n_c x n_c arithmetic, and
+    a departure is one Householder reflection.  R R^T is positive
+    semidefinite however R is rounded, so an update cannot make the
+    inverse indefinite; drift shows as a Schur complement below 1 and
+    is rebuilt.  Each singleton's marginal is held in ``single``, and
+    each pair's in the n x n table ``pair``: pair[i, j] is the log
+    marginal of {i, j}, in closed form from its 2 x 2 Gram block.  The
+    table costs n^2 floats, as G does.
 
     ``_Scan.block`` scores the appends of a block of consecutive points
-    to a cluster of m with one m x rows matmul on its factor, and gathers
-    the deletions from the inverse's diagonal; ``_border`` and
+    to a cluster of m with one rows x m matmul on its root, and gathers
+    the deletions from the rows of the root; ``_border`` and
     ``_deletion`` score one point, for ``_Scan.lone``.  ``_Scan.place``
     applies the _Border and _Deletion of the one row that moves, built
     from the scores it was picked by.  A cluster with no entry (a fresh
@@ -240,29 +284,24 @@ class _ChainCache:
     # ---------------------------------------------------------- factors
 
     def _build(self, idx: tuple) -> _Factor:
-        """Factor of idx from one Cholesky factor of its Gram block."""
+        """Factor of idx from one Cholesky factor L L^T of its Gram block:
+        R = L^-T and z = L^-1 1."""
         ii = np.asarray(idx, dtype=np.intp)
         lower, log_det, z = factor_gram(self.gram[ii[:, None], ii])
-        lower_inv = forward_solve(lower, np.eye(ii.size))
-        return _Factor(
-            ii,
-            lower_inv.T @ lower_inv,
-            lower_inv.T @ z,
-            float(z @ z),
-            log_det,
-        )
+        root = forward_solve(lower, np.eye(ii.size)).T.copy()
+        return _Factor(ii, root, z, float(z @ z), log_det)
 
     def _border(self, f: _Factor, i: int) -> _Border:
         """The append of point i alone to f's cluster, one matrix-vector product."""
-        g = self.gram[i].take(f.order)
-        v = f.inv @ g
-        return _Border(self._one[i] - float(g @ v), f, i, v, 1.0 - float(f.b @ g))
+        l = self.gram[i].take(f.order).dot(f.root)
+        return _Border(self._one[i] - float(l.dot(l)), f, i, l, 1.0 - float(f.z.dot(l)))
 
     @staticmethod
     def _deletion(f: _Factor, i: int) -> _Deletion:
         pos = f.order.tolist().index(i)
-        d = float(f.inv[pos, pos])
-        return _Deletion(1.0 / d if d > 0.0 else -inf, f, pos, d)
+        w = f.root[pos]
+        d = float(w.dot(w))
+        return _Deletion(1.0 / d if d > 0.0 else -inf, f, pos, d, float(w.dot(f.z)))
 
     def _changed(self, idx: tuple, step, i: int):
         """step(f, i), step _border or _deletion, for the factor f of current
@@ -312,8 +351,8 @@ class _Block(NamedTuple):
     (``_fresh``).
 
     appends maps the label of each cluster of two or more points to
-    (f, v, schur, t) from ``_Scan._column``, and deletions the row of a
-    member of a cluster of three or more to its (pos, d); ``updates``
+    (f, l, schur, t) from ``_Scan._column``, and deletions the row of a
+    member of a cluster of three or more to its (pos, d, c); ``updates``
     builds a row's updates from them.  A lone row (``_Scan.lone``) keeps
     its _Border and _Deletion whole in appends, by label, with deletions
     None.
@@ -343,8 +382,8 @@ class _Block(NamedTuple):
             f, _, schur, _ = self.appends[h]
             out[h] = _Deletion(schur[r], f, *self.deletions[r])
         if lab != h and lab in self.appends:
-            f, v, schur, t = self.appends[lab]
-            out[lab] = _Border(schur[r], f, self.lo + r, v[r], t[r])
+            f, l, schur, t = self.appends[lab]
+            out[lab] = _Border(schur[r], f, self.lo + r, l[r], t[r])
         return out
 
 
@@ -450,8 +489,8 @@ class _Scan:
 
         The singleton candidates of all rows are one gather from the pair
         table.  A cluster of two or more points is one matmul for the
-        appends of all rows and a gather from its inverse's diagonal for
-        the deletions of its members (``_column``); each row's log
+        appends of all rows and a gather of its root's rows for the
+        deletions of its members (``_column``); each row's log
         marginals are then read off those columns in scalars.  The rows
         are normalized at once.  Temporaries are O((hi - lo) n) floats.
         """
@@ -476,16 +515,16 @@ class _Scan:
                 h = mine[r]
                 for lab, k, f, _, s, t, ln, lm in grow:
                     if lab != h:
-                        x = marginal(f.b.size + 1, *_grown(f, s[r], t[r]))
+                        x = marginal(f.z.size + 1, *_grown(f, s[r], t[r]))
                         value[r, k] = x
                         log_w[r, k] = ln + x - lm
                 if h not in appends:
                     alone.append(r)
                     continue
                 f = appends[h][0]
-                m = f.b.size
+                m = f.z.size
                 if m > 2:
-                    rest[r] = marginal(m - 1, *_shrunk(f, *deletions[r]))
+                    rest[r] = marginal(m - 1, *_shrunk(f, *deletions[r][1:]))
                 else:  # the other member of a pair is left alone
                     idx = self.clusters[h]
                     rest[r] = chain.single[idx[0] if idx[1] == lo + r else idx[1]]
@@ -538,31 +577,32 @@ class _Scan:
         return appends, deletions, stop
 
     def _column(self, lab: int, lo: int, hi: int, own, deletions: dict) -> tuple:
-        """(f, v, schur, t): the appends of the points lo..hi-1 to cluster
-        lab, one matmul with its factor f.  Row r of v is A^-1 g for point
-        lo + r, and schur[r] = 1 + g_ii - g^T v and t[r] = 1 - 1^T v are
-        what a _Border holds.  For the rows own of lab's members, schur
-        holds the deletion's instead, 1 / d, and deletions[r] its
-        (pos, d), d = (A^-1)_pos,pos; a pair's member, which leaves a
-        singleton with no factor, gets 1.
+        """(f, l, schur, t): the appends of the points lo..hi-1 to cluster
+        lab, one matmul with the root R of its factor f.  Row r of l is
+        R^T g for point lo + r, and schur[r] = 1 + g_ii - l . l and
+        t[r] = 1 - z . l are what a _Border holds.  For the rows own of
+        lab's members, schur holds the deletion's instead, 1 / d, and
+        deletions[r] its (pos, d, c): with w the member's row of R,
+        d = w . w and c = w . z, read from one gather of those rows.  A
+        pair's member, which leaves a singleton with no factor, gets 1.
         """
         chain = self.chain
         f = chain._factor(self.clusters[lab])
-        g = chain.gram[lo:hi].take(f.order, axis=1)
-        v = g @ f.inv.T
-        schur = (chain._one[lo:hi] - (g * v).sum(axis=1)).tolist()
-        t = (1.0 - g @ f.b).tolist()
-        if own and f.b.size > 2:
-            where = dict(zip(f.order.tolist(), range(f.b.size)))
-            for r in own:
-                pos = where[lo + r]
-                d = float(f.inv[pos, pos])
-                deletions[r] = pos, d
+        l = chain.gram[lo:hi].take(f.order, axis=1) @ f.root
+        schur = (chain._one[lo:hi] - (l * l).sum(axis=1)).tolist()
+        t = (1.0 - l @ f.z).tolist()
+        if own and f.z.size > 2:
+            where = dict(zip(f.order.tolist(), range(f.z.size)))
+            pos = [where[lo + r] for r in own]
+            w = f.root.take(pos, axis=0)
+            for r, k, d, c in zip(own, pos, (w * w).sum(axis=1).tolist(),
+                                  (w @ f.z).tolist()):
+                deletions[r] = k, d, c
                 schur[r] = 1.0 / d if d > 0.0 else -inf
         else:
             for r in own:
                 schur[r] = 1.0
-        return f, v, schur, t
+        return f, l, schur, t
 
     def place(self, i: int, h: int, lab: int, value: float, rest: float, updates: dict) -> None:
         """Move point i from cluster h to cluster lab, a label that may name

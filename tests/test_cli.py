@@ -421,11 +421,12 @@ def test_custom_prior_paths(tmp_path, capsys):
 
 
 # Imports niwclust with nothing blocked, checks that scipy stayed out,
-# then blocks scipy (an entry of None makes every import of it fail)
-# and runs each command once.
+# then blocks scipy (an entry of None makes every import of it fail),
+# runs each command once and prints the names of the loaded modules.
 _NO_SCIPY_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import niwclust
 import niwclust.cli
 from niwclust.datagen import GenSpec, generate
@@ -433,11 +434,13 @@ from niwclust.io import write_csv
 assert "scipy" not in sys.modules, "importing niwclust.cli loaded scipy"
 sys.modules["scipy"] = None
 out = sys.argv[2]
-data, _ = generate(GenSpec(kind="two_cluster_mixture", n=8, p=6,
-                           separation=6.0, seed=1))
+data, truth = generate(GenSpec(kind="two_cluster_mixture", n=8, p=6,
+                               separation=6.0, seed=1))
 write_csv(out + "/data.csv", data)
+write_csv(out + "/truth.csv", np.asarray(truth.labels, dtype=float)[:, None])
 for argv in (
-    ["cluster", "--input", out + "/data.csv", "--sweeps", "6", "--burnin", "2"],
+    ["cluster", "--input", out + "/data.csv", "--truth", out + "/truth.csv",
+     "--sweeps", "6", "--burnin", "2"],
     ["limits", "--p-grid", "40,80", "--replicates", "2"],
     ["projector", "--p-grid", "20,50", "--n1", "5", "--replicates", "3"],
     ["sweep", "--p-grid", "60", "--sweeps", "6", "--burnin", "2",
@@ -447,16 +450,32 @@ for argv in (
     assert code == 0, (argv, code)
 assert sys.modules.pop("scipy") is None
 assert "scipy" not in {m.split(".")[0] for m in sys.modules}
+print(" ".join(sorted(sys.modules)))
 """
 
 
-def test_runtime_needs_no_scipy(tmp_path):
-    # scipy is a test dependency only; the package and CLI must not load it
+@pytest.fixture(scope="module")
+def every_command_run(tmp_path_factory):
+    """The finished process of _NO_SCIPY_SCRIPT, run once for this module."""
     src = Path(niwclust.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(src), str(tmp_path)],
+    out = tmp_path_factory.mktemp("every_command")
+    return subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(src), str(out)],
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_needs_no_scipy(every_command_run):
+    # scipy is a test dependency only; the package and CLI must not load it
+    assert every_command_run.returncode == 0, every_command_run.stderr
+
+
+def test_commands_load_no_numpy_ma(every_command_run):
+    # np.median and np.unique import numpy.ma on first use, which took
+    # longer than a small command's own work
+    assert every_command_run.returncode == 0, every_command_run.stderr
+    loaded = every_command_run.stdout.splitlines()[-1].split()
+    assert "numpy" in loaded
+    assert "numpy.ma" not in loaded
 
 
 _NO_POOL_SCRIPT = """

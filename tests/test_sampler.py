@@ -204,14 +204,22 @@ def _direct(data, prior, idx):
     return cluster_log_marginal(data[list(idx)], prior)
 
 
+def _inverse(f):
+    """(A^-1, A^-1 1) of factor f, with rows in the order of f.order."""
+    return f.root @ f.root.T, f.root @ f.z
+
+
 def _assert_matches_build(chain, idx, f, rel):
-    """f is a _Factor of cluster idx that agrees with _build(idx) to rel."""
+    """f is a _Factor of cluster idx that agrees with _build(idx) to rel:
+    the same A^-1 = R R^T and A^-1 1 = R z, whatever the roots."""
     assert isinstance(f, sampler._Factor)
     ref = chain._build(idx)
     perm = np.argsort(f.order)
     assert np.array_equal(f.order[perm], ref.order)
-    assert np.allclose(f.inv[perm][:, perm], ref.inv, rtol=rel, atol=1e-12)
-    assert np.allclose(f.b[perm], ref.b, rtol=rel, atol=1e-12)
+    inv, b = _inverse(f)
+    ref_inv, ref_b = _inverse(ref)
+    assert np.allclose(inv[perm][:, perm], ref_inv, rtol=rel, atol=1e-12)
+    assert np.allclose(b[perm], ref_b, rtol=rel, atol=1e-12)
     assert f.s == pytest.approx(ref.s, rel=rel)
     assert f.log_det == pytest.approx(ref.log_det, rel=rel, abs=rel)
 
@@ -367,12 +375,68 @@ def test_factor_is_not_mutated_by_update():
     data, prior = _mixing_problem(n=8)
     chain = sampler._ChainCache(data, prior)
     f = chain._build((1, 3, 4, 6))
-    before = [a.copy() for a in (f.order, f.inv, f.b)] + [f.s, f.log_det]
+    before = [a.copy() for a in (f.order, f.root, f.z)] + [f.s, f.log_det]
     chain._border(f, 2).applied()
     chain._deletion(f, 4).applied()
-    after = [f.order, f.inv, f.b, f.s, f.log_det]
+    after = [f.order, f.root, f.z, f.s, f.log_det]
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
+
+
+def _last_entry_zeroed(f, pos):
+    """f with the last two columns of its root rotated so that row pos
+    ends in 0: the same A^-1 = R R^T, with z rotated alike."""
+    a, b = f.root[pos, -2], f.root[pos, -1]
+    r = np.hypot(a, b)
+    rot = np.array([[a / r, -b / r], [b / r, a / r]])
+    root, z = f.root.copy(), f.z.copy()
+    root[:, -2:] = root[:, -2:] @ rot
+    z[-2:] = z[-2:] @ rot
+    root[pos, -1] = 0.0
+    return f._replace(root=root, z=z)
+
+
+@pytest.mark.parametrize("m", [6, 40])
+def test_householder_deletion_matches_build_at_every_position(m):
+    # the reflection takes the sign of w_k, the last entry of the deleted
+    # row; every position of a built factor covers both signs, and a
+    # rotated copy of it w_k = 0
+    data, prior = _mixing_problem(n=m, p=8)
+    chain = sampler._ChainCache(data, prior)
+    members = tuple(range(m))
+    f = chain._build(members)
+    signs = set()
+    for pos, i in enumerate(f.order.tolist()):
+        rest = members[:i] + members[i + 1:]
+        signs.add(np.sign(f.root[pos, -1]))
+        for g in (f, _last_entry_zeroed(f, pos)):
+            out = chain._deletion(g, i)
+            assert out.pos == pos and not sampler._drifted(out.schur)
+            _assert_matches_build(chain, rest, out.applied(), rel=1e-12)
+    assert signs == {-1.0, 1.0}
+
+
+def test_root_stays_an_inverse_over_500_random_moves():
+    data, prior = _mixing_problem()
+    chain = sampler._ChainCache(data, prior)
+    n = len(data)
+    rng = np.random.default_rng(11)
+    members = list(range(0, n, 3))
+    f = chain._build(tuple(members))
+    for move in range(500):
+        outside = sorted(set(range(n)) - set(members))
+        if outside and (len(members) < 3 or rng.random() < 0.5):
+            j = int(rng.choice(outside))
+            f = chain._border(f, j).applied()
+            members.append(j)
+        else:
+            j = int(rng.choice(members))
+            f = chain._deletion(f, j).applied()
+            members.remove(j)
+        a = np.eye(f.z.size) + chain.gram[np.ix_(f.order, f.order)]
+        assert np.abs(f.root @ f.root.T @ a - np.eye(f.z.size)).max() < 1e-10, move
+        assert np.allclose(f.z, f.root.sum(axis=0), rtol=0.0, atol=1e-10)
+    _assert_matches_build(chain, tuple(sorted(members)), f, rel=1e-10)
 
 
 def test_drifted_factor_is_rebuilt():
@@ -383,15 +447,15 @@ def test_drifted_factor_is_rebuilt():
     good = chain.factors[members]
     labels = [1, 3, 1, 1, 4, 1, 5, 2]
 
-    # (A^-1)_ii = 2 means a Schur complement of 1/2 < 1: drift
-    chain.factors[members] = good._replace(inv=2.0 * np.eye(4))
+    # R = sqrt(2) I gives (A^-1)_ii = 2, a Schur complement of 1/2 < 1: drift
+    chain.factors[members] = good._replace(root=np.sqrt(2.0) * np.eye(4))
     rest = (0, 2, 5)
     scan = sampler._Scan(chain, {1: members}, {1: 0.0}, 1.0)
     value = scan.block(3, 4, labels).rest[0]
     assert value == pytest.approx(_direct(data, prior, rest), rel=1e-10)
-    assert np.allclose(chain.factors[members].inv, good.inv)
+    assert np.allclose(chain.factors[members].root, good.root)
     # a non-finite factor is drift too, for a grow as for a removal
-    nan_factor = good._replace(inv=np.full((4, 4), np.nan))
+    nan_factor = good._replace(root=np.full((4, 4), np.nan))
     chain.factors[members] = nan_factor
     key = (0, 2, 3, 5, 7)
     scan = sampler._Scan(chain, {1: members, 2: (7,)}, {1: 0.0, 2: chain.single[7]}, 1.0)
@@ -402,7 +466,7 @@ def test_drifted_factor_is_rebuilt():
     # and a move that applies a drifted update builds the new cluster
     # from its Gram block, for the cluster left as for the one joined
     pair = (1, 6)
-    nan_pair = chain._build(pair)._replace(inv=np.full((2, 2), np.nan))
+    nan_pair = chain._build(pair)._replace(root=np.full((2, 2), np.nan))
     chain.factors = {members: nan_factor, pair: nan_pair}
     scan = sampler._Scan(chain, {1: members, 2: pair}, {1: 0.0, 2: 0.0}, 1.0)
     block = scan.block(3, 4, labels)  # rebuilds both factors
