@@ -21,11 +21,13 @@ side: a join adds one row and column to R, and a departure reflects R
 once (``_Border``, ``_Deletion``).  ``_Scan.block`` scores a block of
 consecutive points against the partition they all see until one of
 them changes it: the singleton candidates of every row are one gather
-from the pair table, each larger cluster is one matmul for the appends
-of all rows and one gather of the rows of R for the deletions of its
-members, and the weight of a point's own cluster is the log marginal
-that cluster already holds.  ``_Scan.lone`` scores a block of one row the
-same way, with matrix-vector products and scalars.  gibbs_sweep walks
+from the pair table, each larger cluster is scored by ``_Scan._column``,
+and the weight of a point's own cluster is the log marginal that
+cluster already holds.  ``_column`` is the one function that scores a
+cluster's joins and departures and rebuilds a factor that drifted: for
+a block, one matmul for the joins of all rows and one gather of the
+rows of R for the departures of its members; for one row, as
+``_Scan.lone`` scores it, matrix-vector products.  gibbs_sweep walks
 a block's rows to the first that moves its point and applies that move
 alone; the next block starts after it.  A block is one row after a
 move and doubles after a block walked through, up to _ROWS rows, so
@@ -148,13 +150,9 @@ class _Border(NamedTuple):
     l: np.ndarray
     t: float
 
-    def totals(self) -> tuple:
-        """(log|A|, 1^T A^-1 1) with i appended; schur must not have drifted."""
-        return _grown(self.f, self.schur, self.t)
-
     def applied(self) -> _Factor:
         schur, f, i, l, t = self
-        log_det, s = self.totals()
+        log_det, s = _grown(f, schur, t)
         sigma = sqrt(schur)
         m = l.size
         root = np.empty((m + 1, m + 1))
@@ -190,13 +188,9 @@ class _Deletion(NamedTuple):
     d: float
     c: float
 
-    def totals(self) -> tuple:
-        """(log|A|, 1^T A^-1 1) without the point; schur must not have drifted."""
-        return _shrunk(self.f, self.d, self.c)
-
     def applied(self) -> _Factor:
         _, f, pos, d, c = self
-        log_det, s = self.totals()
+        log_det, s = _shrunk(f, d, c)
         root, z, order = f.root, f.z, f.order
         w = root[pos]
         wk = float(w[-1])
@@ -240,15 +234,13 @@ class _ChainCache:
     marginal of {i, j}, in closed form from its 2 x 2 Gram block.  The
     table costs n^2 floats, as G does.
 
-    ``_Scan.block`` scores the appends of a block of consecutive points
-    to a cluster of m with one rows x m matmul on its root, and gathers
-    the deletions from the rows of the root; ``_border`` and
-    ``_deletion`` score one point, for ``_Scan.lone``.  ``_Scan.place``
+    ``_Scan._column`` alone scores joins and departures against these
+    factors, and rebuilds one whose score drifted.  ``_Scan.place``
     applies the _Border and _Deletion of the one row that moves, built
     from the scores it was picked by.  A cluster with no entry (a fresh
     pair, or each cluster of a rebuilt chain) is built from its Gram
-    block on first use, and one whose update drifted is rebuilt from it.
-    Entries are never mutated, so copying the dict snapshots the store.
+    block on first use.  Entries are never mutated, so copying the dict
+    snapshots the store.
     """
 
     def __init__(self, data: np.ndarray, prior: NiwPrior):
@@ -291,31 +283,6 @@ class _ChainCache:
         root = forward_solve(lower, np.eye(ii.size)).T.copy()
         return _Factor(ii, root, z, float(z @ z), log_det)
 
-    def _border(self, f: _Factor, i: int) -> _Border:
-        """The append of point i alone to f's cluster, one matrix-vector product."""
-        l = self.gram[i].take(f.order).dot(f.root)
-        return _Border(self._one[i] - float(l.dot(l)), f, i, l, 1.0 - float(f.z.dot(l)))
-
-    @staticmethod
-    def _deletion(f: _Factor, i: int) -> _Deletion:
-        pos = f.order.tolist().index(i)
-        w = f.root[pos]
-        d = float(w.dot(w))
-        return _Deletion(1.0 / d if d > 0.0 else -inf, f, pos, d, float(w.dot(f.z)))
-
-    def _changed(self, idx: tuple, step, i: int):
-        """step(f, i), step _border or _deletion, for the factor f of current
-        cluster idx; a drifted factor is rebuilt from its Gram block once."""
-        out = step(self._factor(idx), i)
-        if _drifted(out.schur):
-            f = self.factors[idx] = self._build(idx)
-            out = step(f, i)
-            if not 0.0 < out.schur < inf:
-                raise NotPositiveDefinite(
-                    f"Schur complement {out.schur} in a cluster of {len(idx)}"
-                )
-        return out
-
     def _factor(self, idx: tuple) -> _Factor:
         """Factor of current cluster idx, built on first use."""
         f = self.factors.get(idx)
@@ -352,10 +319,9 @@ class _Block(NamedTuple):
 
     appends maps the label of each cluster of two or more points to
     (f, l, schur, t) from ``_Scan._column``, and deletions the row of a
-    member of a cluster of three or more to its (pos, d, c); ``updates``
-    builds a row's updates from them.  A lone row (``_Scan.lone``) keeps
-    its _Border and _Deletion whole in appends, by label, with deletions
-    None.
+    member of a cluster of three or more to its (pos, d, c), for a lone
+    row (``_Scan.lone``) as for a block; ``updates`` builds a row's
+    updates from them.
     """
 
     lo: int
@@ -375,8 +341,6 @@ class _Block(NamedTuple):
         """The updates that the move of row r's point from h to lab
         applies, by label: h's deletion and lab's append, where they have
         factors."""
-        if self.deletions is None:  # a lone row's, kept whole in appends
-            return {c: out for c, out in self.appends.items() if c in (h, lab)}
         out = {}
         if r in self.deletions:
             f, _, schur, _ = self.appends[h]
@@ -397,11 +361,6 @@ def _fresh(cands: np.ndarray, h: int, alone: bool) -> int:
     return top + 1
 
 
-def _first_drift(schur: list, start: int = 0) -> Optional[int]:
-    """The first row from start whose Schur complement drifted, or None."""
-    return next((r for r in range(start, len(schur)) if _drifted(schur[r])), None)
-
-
 class _Scan:
     """The partition of one sweep, with arrays indexed by label.
 
@@ -416,7 +375,9 @@ class _Scan:
     then it; they are kept until some cluster appears or empties.
 
     ``block`` scores consecutive points against the partition as it
-    stands, ``lone`` one point, and ``place`` applies a move.
+    stands, ``lone`` one point, and ``place`` applies a move.  Both score
+    the larger clusters by ``_column``: ``lone`` in its one-row form, and
+    ``block`` in its block form from two rows on.
     """
 
     def __init__(self, chain: _ChainCache, clusters: dict, log_ml: dict, alpha: float):
@@ -438,10 +399,11 @@ class _Scan:
     def lone(self, i: int, labels: list) -> _Block:
         """Score point i, whose label is labels[i], as a block of one row.
 
-        The weights are those ``block`` gives for the row, up to rounding,
-        but each larger cluster is one matrix-vector product and the rest
-        is scalar work: a batched block of one row costs two to three
-        times as much, in numpy calls.
+        The weights are those ``block`` gives for the row, up to rounding:
+        ``_column`` scores one row with matrix-vector products, and the
+        rest is scalar work, where a batched block of one row costs two to
+        three times as much, in numpy calls.  A pair the point belongs to
+        is not scored, as its other member is left a singleton.
         """
         chain = self.chain
         cands = self.cands
@@ -451,20 +413,21 @@ class _Scan:
         home = int(cands.searchsorted(h))
         value = chain.pair[i].take(self.first.take(cands))
         log_w = value - self.log_ml.take(cands)  # log 1 + value - log_ml for a singleton
-        moves, rest = {}, 0.0
+        appends, deletions, rest = {}, {}, 0.0
         for lab in self.multi:
             idx = self.clusters[lab]
             m = len(idx)
             if lab != h:
-                out = moves[lab] = chain._changed(idx, chain._border, i)
+                out, _ = self._column(lab, i, i + 1, (), deletions)
+                f, _, schur, t = appends[lab] = out
                 k = cands.searchsorted(lab)
-                value[k] = x = chain._value(m + 1, *out.totals())
+                value[k] = x = chain._value(m + 1, *_grown(f, schur[0], t[0]))
                 log_w[k] = log(m) + x - self.log_ml[lab]
                 continue
             if m > 2:
-                out = moves[lab] = chain._changed(idx, chain._deletion, i)
-                rest = chain._value(m - 1, *out.totals())
-            else:  # the other member of a pair is left alone
+                appends[lab], _ = self._column(lab, i, i + 1, (0,), deletions)
+                rest = chain._value(m - 1, *_shrunk(appends[lab][0], *deletions[0][1:]))
+            else:  # the other member of a pair is left alone, with no factor read
                 rest = chain.single[idx[0] if idx[1] == i else idx[1]]
             value[home] = self.log_ml[h]
             log_w[home] = log(m - 1) + self.log_ml[h] - rest
@@ -481,18 +444,18 @@ class _Scan:
         # a non-finite weight is raised by the walk, unscaled
         cum = np.exp(log_w - log_w.max()).cumsum() if ok else log_w
         return _Block(i, 1, cands, [home], value[None], log_w[None], cum[None], [ok],
-                      [rest], relabel, moves, None)
+                      [rest], relabel, appends, deletions)
 
     def block(self, lo: int, hi: int, labels: list) -> _Block:
         """Score the points lo..hi-1, whose labels are labels[lo:hi], each
         as if it were the first to be taken out of its cluster.
 
         The singleton candidates of all rows are one gather from the pair
-        table.  A cluster of two or more points is one matmul for the
-        appends of all rows and a gather of its root's rows for the
-        deletions of its members (``_column``); each row's log
-        marginals are then read off those columns in scalars.  The rows
-        are normalized at once.  Temporaries are O((hi - lo) n) floats.
+        table.  Each cluster of two or more points is scored for all rows
+        at once by ``_column``, and the block stops at the first row whose
+        score drifted; each row's log marginals are then read off those
+        columns in scalars.  The rows are normalized at once.  Temporaries
+        are O((hi - lo) n) floats.
         """
         chain = self.chain
         cands = self.cands
@@ -500,9 +463,19 @@ class _Scan:
             cands = self.cands = self.size.nonzero()[0]
         mine = labels[lo:hi]
         log_ml, marginal = self.log_ml, chain._value
-        appends, deletions, stop = self._updates(lo, hi, mine)
-        grow = [(lab, int(k), *appends[lab], log(len(self.clusters[lab])), float(log_ml[lab]))
-                for lab, k in zip(appends, cands.searchsorted(list(appends)))]
+        own = {}  # the label of a larger cluster -> the rows of its members
+        for r, h in enumerate(mine):
+            if h in self.multi:
+                own.setdefault(h, []).append(r)
+        appends, deletions, grow = {}, {}, []
+        stop = hi - lo
+        with np.errstate(all="ignore"):  # rows past a drifted one are never read
+            for lab in self.multi:
+                out, bad = self._column(lab, lo, hi, own.get(lab, ()), deletions)
+                appends[lab] = out
+                stop = min(stop, bad)
+                grow.append((lab, int(cands.searchsorted(lab)), *out,
+                             log(len(self.clusters[lab])), float(log_ml[lab])))
         value = chain.pair[lo:hi].take(self.first.take(cands), axis=1)
         value[:, -1] = chain.single[lo:hi]
         log_w = value - log_ml.take(cands)  # log 1 + value - log_ml for a singleton
@@ -542,67 +515,68 @@ class _Scan:
         return _Block(lo, stop, cands, home, value, log_w, cum, ok, rest, relabel,
                       appends, deletions)
 
-    def _updates(self, lo: int, hi: int, mine: list) -> tuple:
-        """(appends, deletions, stop) of the points lo..hi-1, whose labels
-        are mine, as ``_Block`` holds them.
-
-        stop is the first row at which an update drifted, or hi - lo.
-        Drift at row 0 rebuilds the factor from its Gram block once, and
-        the rebuilt one must give the row a positive Schur complement.
-        """
-        chain = self.chain
-        own = {}  # the label of a larger cluster -> the rows of its members
-        for r, h in enumerate(mine):
-            if h in self.multi:
-                own.setdefault(h, []).append(r)
-        appends, deletions = {}, {}
-        stop = hi - lo
-        with np.errstate(all="ignore"):  # rows past a drifted one are never read
-            for lab in self.multi:
-                rows = own.get(lab, ())
-                out = self._column(lab, lo, hi, rows, deletions)
-                bad = _first_drift(out[2])
-                if bad == 0:
-                    idx = self.clusters[lab]
-                    chain.factors[idx] = chain._build(idx)
-                    out = self._column(lab, lo, hi, rows, deletions)
-                    if not 0.0 < out[2][0] < inf:
-                        raise NotPositiveDefinite(
-                            f"Schur complement {out[2][0]} in a cluster of {len(idx)}"
-                        )
-                    bad = _first_drift(out[2], 1)
-                if bad is not None:
-                    stop = min(stop, bad)
-                appends[lab] = out
-        return appends, deletions, stop
-
     def _column(self, lab: int, lo: int, hi: int, own, deletions: dict) -> tuple:
-        """(f, l, schur, t): the appends of the points lo..hi-1 to cluster
-        lab, one matmul with the root R of its factor f.  Row r of l is
-        R^T g for point lo + r, and schur[r] = 1 + g_ii - l . l and
-        t[r] = 1 - z . l are what a _Border holds.  For the rows own of
-        lab's members, schur holds the deletion's instead, 1 / d, and
-        deletions[r] its (pos, d, c): with w the member's row of R,
-        d = w . w and c = w . z, read from one gather of those rows.  A
-        pair's member, which leaves a singleton with no factor, gets 1.
+        """((f, l, schur, t), stop): the scores of the points lo..hi-1
+        against cluster lab, whose factor f has root R, as ``_Block``
+        holds them.
+
+        A join (_Border): row r of l is R^T g for point lo + r, with g its
+        Gram column, and schur[r] = 1 + g_ii - l . l and t[r] = 1 - z . l.
+        A leave (_Deletion), for the rows own of lab's members: schur[r]
+        is 1 / d instead, and deletions[r] gets (pos, d, c), with w the
+        member's row of R, d = w . w and c = w . z.  A pair's member, which
+        leaves a singleton with no factor, gets schur 1.  One row is scored
+        with matrix-vector products, and a member's join of its own
+        cluster is skipped (l and t hold None); more rows take one matmul
+        for the joins and one gather of R's rows for the leaves.
+
+        The drift rule: if row 0's Schur complement drifted, f is rebuilt
+        from its Gram block once, and the rebuilt f must give row 0 a
+        positive finite one.  stop is the first later row that drifted, or
+        hi - lo; rows from stop on are never read.
         """
         chain = self.chain
-        f = chain._factor(self.clusters[lab])
-        l = chain.gram[lo:hi].take(f.order, axis=1) @ f.root
-        schur = (chain._one[lo:hi] - (l * l).sum(axis=1)).tolist()
-        t = (1.0 - l @ f.z).tolist()
-        if own and f.z.size > 2:
-            where = dict(zip(f.order.tolist(), range(f.z.size)))
-            pos = [where[lo + r] for r in own]
-            w = f.root.take(pos, axis=0)
-            for r, k, d, c in zip(own, pos, (w * w).sum(axis=1).tolist(),
-                                  (w @ f.z).tolist()):
-                deletions[r] = k, d, c
-                schur[r] = 1.0 / d if d > 0.0 else -inf
-        else:
-            for r in own:
-                schur[r] = 1.0
-        return f, l, schur, t
+        idx = self.clusters[lab]
+        f = chain._factor(idx)
+        rows = hi - lo
+        for rebuilt in (False, True):
+            if rows > 1:
+                l = chain.gram[lo:hi].take(f.order, axis=1) @ f.root
+                schur = (chain._one[lo:hi] - (l * l).sum(axis=1)).tolist()
+                t = (1.0 - l @ f.z).tolist()
+            elif own:
+                l, schur, t = [None], [1.0], [None]
+            else:
+                v = chain.gram[lo].take(f.order).dot(f.root)
+                l, t = [v], [1.0 - float(f.z.dot(v))]
+                schur = [chain._one[lo] - float(v.dot(v))]
+            if own and f.z.size > 2:
+                if rows > 1:
+                    where = dict(zip(f.order.tolist(), range(f.z.size)))
+                    pos = [where[lo + r] for r in own]
+                    w = f.root.take(pos, axis=0)
+                    leaves = zip(own, pos, (w * w).sum(axis=1).tolist(), (w @ f.z).tolist())
+                else:
+                    k = f.order.tolist().index(lo)
+                    w = f.root[k]
+                    leaves = ((0, k, float(w.dot(w)), float(w.dot(f.z))),)
+                for r, k, d, c in leaves:
+                    deletions[r] = k, d, c
+                    schur[r] = 1.0 / d if d > 0.0 else -inf
+            else:
+                for r in own:
+                    schur[r] = 1.0
+            if not _drifted(schur[0]):
+                break
+            if rebuilt:
+                if not 0.0 < schur[0] < inf:
+                    raise NotPositiveDefinite(
+                        f"Schur complement {schur[0]} in a cluster of {len(idx)}"
+                    )
+                break
+            f = chain.factors[idx] = chain._build(idx)
+        stop = next((r for r in range(1, rows) if _drifted(schur[r])), rows) if rows > 1 else 1
+        return (f, l, schur, t), stop
 
     def place(self, i: int, h: int, lab: int, value: float, rest: float, updates: dict) -> None:
         """Move point i from cluster h to cluster lab, a label that may name
@@ -872,7 +846,7 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                 continue
             if not blk.ok[r]:
                 raise FloatingPointError(
-                    f"non-finite reassignment weight for observation {i + r}"
+                    f"non-finite reassignment weight for data row {i + r + 1}"
                 )
             p = int(pick[r])
             h = labels[i + r]

@@ -349,23 +349,42 @@ def test_pair_table_rows_at_a_time_equal_the_whole_table():
         assert np.array_equal(chain._pairs(rows), chain.pair)
 
 
+def _scored(chain, members, f, j):
+    """The update that a lone row scores for point j against factor f of
+    the cluster members, stored first in chain.factors: the _Border of j's
+    join if j is not a member, else the _Deletion of its leave.  It is
+    scored against f itself, with no rebuild."""
+    idx = tuple(sorted(members))
+    chain.factors[idx] = f
+    h, lab = (1, 2) if j in idx else (2, 1)
+    clusters = {1: idx} if j in idx else {1: idx, 2: (j,)}
+    labels = [0] * len(chain.single)
+    labels[j] = h
+    scan = sampler._Scan(chain, clusters, dict.fromkeys(clusters, 0.0), 1.0)
+    out = scan.lone(j, labels).updates(0, h, lab)[1]
+    assert out.f is f and chain.factors[idx] is f
+    return out
+
+
 @given(seed=st.integers(0, 10 ** 6), steps=st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
 def test_factor_updates_match_direct_factorization(seed, steps):
+    # the factors the sampler holds, of two or more points: a pair's
+    # member leaves a singleton, which has no factor
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((10, 6))
     chain = sampler._ChainCache(data, NiwPrior(np.zeros(6), 1.0, 8.0, 2.0))
-    members = sorted(rng.choice(10, size=int(rng.integers(1, 10)), replace=False))
+    members = sorted(rng.choice(10, size=int(rng.integers(2, 10)), replace=False))
     f = chain._build(tuple(members))
     for _ in range(steps):
         outside = sorted(set(range(10)) - set(members))
-        if outside and (len(members) == 1 or rng.random() < 0.5):
+        if outside and (len(members) == 2 or rng.random() < 0.5):
             j = int(rng.choice(outside))
-            f = chain._border(f, j).applied()
+            f = _scored(chain, members, f, j).applied()
             members.append(j)
         else:
             j = int(rng.choice(members))
-            f = chain._deletion(f, j).applied()
+            f = _scored(chain, members, f, j).applied()
             members.remove(j)
         members.sort()
         _assert_matches_build(chain, tuple(members), f, rel=1e-9)
@@ -376,8 +395,8 @@ def test_factor_is_not_mutated_by_update():
     chain = sampler._ChainCache(data, prior)
     f = chain._build((1, 3, 4, 6))
     before = [a.copy() for a in (f.order, f.root, f.z)] + [f.s, f.log_det]
-    chain._border(f, 2).applied()
-    chain._deletion(f, 4).applied()
+    _scored(chain, (1, 3, 4, 6), f, 2).applied()
+    _scored(chain, (1, 3, 4, 6), f, 4).applied()
     after = [f.order, f.root, f.z, f.s, f.log_det]
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
@@ -410,7 +429,7 @@ def test_householder_deletion_matches_build_at_every_position(m):
         rest = members[:i] + members[i + 1:]
         signs.add(np.sign(f.root[pos, -1]))
         for g in (f, _last_entry_zeroed(f, pos)):
-            out = chain._deletion(g, i)
+            out = _scored(chain, members, g, i)
             assert out.pos == pos and not sampler._drifted(out.schur)
             _assert_matches_build(chain, rest, out.applied(), rel=1e-12)
     assert signs == {-1.0, 1.0}
@@ -427,11 +446,11 @@ def test_root_stays_an_inverse_over_500_random_moves():
         outside = sorted(set(range(n)) - set(members))
         if outside and (len(members) < 3 or rng.random() < 0.5):
             j = int(rng.choice(outside))
-            f = chain._border(f, j).applied()
+            f = _scored(chain, members, f, j).applied()
             members.append(j)
         else:
             j = int(rng.choice(members))
-            f = chain._deletion(f, j).applied()
+            f = _scored(chain, members, f, j).applied()
             members.remove(j)
         a = np.eye(f.z.size) + chain.gram[np.ix_(f.order, f.order)]
         assert np.abs(f.root @ f.root.T @ a - np.eye(f.z.size)).max() < 1e-10, move
@@ -474,7 +493,8 @@ def test_drifted_factor_is_rebuilt():
     assert values[cands.searchsorted(2)] == pytest.approx(
         _direct(data, prior, (1, 3, 6)), rel=1e-10)
     chain.factors = {members: nan_factor, pair: nan_pair}
-    updates = {1: chain._deletion(nan_factor, 3), 2: chain._border(nan_pair, 3)}
+    updates = {c: out._replace(schur=np.nan) for c, out in block.updates(0, 1, 2).items()}
+    assert set(updates) == {1, 2}
     scan.place(3, 1, 2, values[cands.searchsorted(2)], block.rest[0], updates)
     assert set(chain.factors) == {rest, (1, 3, 6)}
     for idx, f in chain.factors.items():
@@ -516,10 +536,7 @@ def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
             assert all(np.array_equal(a, b) for a, b in zip(stored, f))
             applied += 1
 
-    chain_cls = sampler._ChainCache
     monkeypatch.setattr(sampler._Scan, "_column", spy("_column", sampler._Scan._column))
-    monkeypatch.setattr(chain_cls, "_border", spy("_border", chain_cls._border))
-    monkeypatch.setattr(chain_cls, "_deletion", staticmethod(spy("_deletion", chain_cls._deletion)))
     monkeypatch.setattr(sampler._Scan, "block", spy("block", sampler._Scan.block))
     monkeypatch.setattr(sampler._Scan, "lone", spy("lone", sampler._Scan.lone))
     monkeypatch.setattr(sampler._Scan, "place", placing)
@@ -600,8 +617,9 @@ def test_block_weights_match_direct_marginals(monkeypatch, batch):
 
 
 def test_a_lone_row_scores_as_a_block_of_one_row():
-    # the two ways of scoring one row agree up to rounding, on every row of
-    # partitions with singletons, pairs and larger clusters
+    # a lone row's vector products and scalars agree up to rounding with
+    # its row of a block of all 12 rows (one matmul a cluster), on every
+    # row of partitions with singletons, pairs and larger clusters
     data, prior = _mixing_problem(n=12)
     chain = sampler._ChainCache(data, prior)
     rng = np.random.default_rng(11)
@@ -614,21 +632,83 @@ def test_a_lone_row_scores_as_a_block_of_one_row():
         clusters = {lab: tuple(idx) for lab, idx in clusters.items()}
         log_ml = {lab: chain.log_marginal(idx) for lab, idx in clusters.items()}
         scan = sampler._Scan(chain, clusters, log_ml, 0.5)
+        whole = scan.block(0, 12, labels)
+        assert whole.stop == 12
         for i in range(12):
-            one, lone = scan.block(i, i + 1, labels), scan.lone(i, labels)
-            assert one.stop == lone.stop == 1
-            assert np.array_equal(one.cands, lone.cands)
-            assert list(one.home) == list(lone.home) and one.relabel == lone.relabel
-            assert np.allclose(one.log_w, lone.log_w, rtol=1e-12, atol=1e-12)
-            assert np.array_equal(np.isinf(one.log_w), np.isinf(lone.log_w))
-            assert one.rest[0] == pytest.approx(lone.rest[0], rel=1e-12, abs=1e-12)
+            lone = scan.lone(i, labels)
+            assert lone.stop == 1
+            assert np.array_equal(whole.cands, lone.cands)
+            assert whole.home[i] == lone.home[0]
+            assert (i in whole.relabel) == (lone.relabel == [0])
+            assert np.allclose(whole.log_w[i], lone.log_w[0], rtol=1e-12, atol=1e-12)
+            assert np.array_equal(np.isinf(whole.log_w[i]), np.isinf(lone.log_w[0]))
+            assert whole.rest[i] == pytest.approx(lone.rest[0], rel=1e-12, abs=1e-12)
             for lab in clusters:
-                a, b = one.updates(0, labels[i], lab), lone.updates(0, labels[i], lab)
+                a, b = whole.updates(i, labels[i], lab), lone.updates(0, labels[i], lab)
                 assert a.keys() == b.keys()
                 for c in a:
                     assert a[c].schur == pytest.approx(b[c].schur, rel=1e-12)
             checked += 1
     assert checked == 240
+
+
+def _drifted_leave(chain, members, i):
+    """A factor of members whose row for member i has w . w = 2, so its
+    leave's Schur complement 1/2 < 1 drifted; z, s and log|A| are left
+    exact, so every other member's leave still scores exactly."""
+    f = chain._build(members)
+    root = f.root.copy()
+    pos = f.order.tolist().index(i)
+    root[pos] *= np.sqrt(2.0 / root[pos].dot(root[pos]))
+    return f._replace(root=root)
+
+
+def test_one_drift_rule_for_lone_rows_and_blocks(monkeypatch):
+    # drift at row 0 rebuilds the factor once, whether a lone row or a
+    # block reaches it, and the row scores as cluster_log_marginal does;
+    # drift at a later row r cuts a block at r, with no rebuild
+    data, prior = _mixing_problem(n=8)
+    chain = sampler._ChainCache(data, prior)
+    members = tuple(range(8))
+    labels = [1] * 8
+    clusters = {1: members}
+    log_ml = {1: _direct(data, prior, members)}
+    alpha = 0.5
+    builds = []
+    build = sampler._ChainCache._build
+
+    def counted(self, idx):
+        builds.append(idx)
+        return build(self, idx)
+
+    monkeypatch.setattr(sampler._ChainCache, "_build", counted)
+
+    def check(out, lo, rows):
+        assert out.stop == rows
+        for r in range(rows):
+            want = _oracle_log_w(data, prior, clusters, lo + r, 1, alpha,
+                                 out.cands.tolist(), scan.new)
+            assert out.ok[r]
+            assert np.allclose(out.log_w[r], want, rtol=1e-10, atol=1e-10)
+            rest = tuple(j for j in members if j != lo + r)
+            assert out.rest[r] == pytest.approx(_direct(data, prior, rest), rel=1e-10)
+
+    for score, lo, rows in ((lambda: scan.lone(5, labels), 5, 1),
+                            (lambda: scan.block(5, 8, labels), 5, 3)):
+        chain.factors[members] = bad = _drifted_leave(chain, members, 5)
+        builds.clear()
+        scan = sampler._Scan(chain, dict(clusters), dict(log_ml), alpha)
+        check(score(), lo, rows)
+        assert builds == [members]
+        assert chain.factors[members] is not bad
+        for a, b in zip(chain.factors[members], build(chain, members)):
+            assert np.array_equal(a, b)
+
+    chain.factors[members] = bad = _drifted_leave(chain, members, 5)
+    builds.clear()
+    scan = sampler._Scan(chain, dict(clusters), dict(log_ml), alpha)
+    check(scan.block(0, 8, labels), 0, 5)
+    assert builds == [] and chain.factors[members] is bad
 
 
 def test_a_scan_that_moves_no_point_takes_few_blocks(monkeypatch):
@@ -711,6 +791,24 @@ def test_non_finite_weight_raises_and_rolls_back():
     with pytest.raises(FloatingPointError, match="non-finite"):
         gibbs_sweep(state, data)
     assert state.labels == before
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_a_non_finite_weight_names_its_data_row_1_based(first):
+    # rows from first on scaled by 1e80: each pair of them overflows its
+    # 2 x 2 determinant in the pair table, while cluster_log_marginal of
+    # every pair is finite; from singletons, 0-based row first is the first
+    # to read such a pair
+    data = np.random.default_rng(0).standard_normal((6, 3))
+    data[first:] *= 1e80
+    prior = NiwPrior(np.zeros(3), 1.0, 5.0, 1.0)
+    for i in range(6):
+        for j in range(i):
+            assert np.isfinite(_direct(data, prior, (j, i)))
+    state = init_state(data, prior, CrpPrior(1.0), 0, init="singletons")
+    with pytest.raises(FloatingPointError, match=rf"for data row {first + 1}$"):
+        gibbs_sweep(state, data)
+    assert state.labels == [1, 2, 3, 4, 5, 6]
 
 
 def test_failed_sweep_rolls_back_completely(monkeypatch):
