@@ -232,8 +232,8 @@ def _replicate_pool(replicates: int):
     limits and projector overlap; pool.map returns them in replicate
     order, which keeps every output byte-identical to a serial run.
     A limits replicate scores its draw in place and a projector
-    replicate reads it, so a worker holds one n x p block at a time,
-    plus n x p bytes while the block is checked finite.  sweep's chains
+    replicate reads it, so a worker holds one n x p block at a time;
+    its finite check scans it a row block at a time.  sweep's chains
     hold the GIL and run on processes (see cmd_sweep).
     """
     # imported here: at module level it adds about 5% to CLI start-up

@@ -215,11 +215,17 @@ def robust_prior(p: int, spec: RobustPriorSpec) -> NiwPrior:
     )
 
 
+# The most cells :func:`as_observations` tests for finiteness at once.
+_FINITE_CELLS = 1 << 16
+
+
 def as_observations(y) -> NDArray[np.float64]:
     """y as a 2-d float array of finite observations, one per row.
 
     A 1-d array is one row.  Nothing is copied that ``np.asarray`` does
-    not copy, and the finite test's n x p temporary is freed on return.
+    not copy.  The finite test scans blocks of rows, at most 2^16 cells
+    or one row each, so besides y it holds one block's boolean mask, not
+    an n x p one; the first block that fails names its first bad cell.
 
     Raises
     ------
@@ -233,13 +239,15 @@ def as_observations(y) -> NDArray[np.float64]:
         y = y[None, :]
     if y.ndim != 2 or y.shape[1] < 1:
         raise ValueError(f"observations must be 2-d with a column, got shape {y.shape}")
-    finite = np.isfinite(y)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise DomainError(
-            f"data row {r + 1}, column {c + 1} is {y[r, c]}; "
-            "observations must be finite"
-        )
+    rows = max(1, _FINITE_CELLS // y.shape[1])
+    for lo in range(0, y.shape[0], rows):
+        finite = np.isfinite(y[lo : lo + rows])
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0] + (lo, 0)
+            raise DomainError(
+                f"data row {r + 1}, column {c + 1} is {y[r, c]}; "
+                "observations must be finite"
+            )
     return y
 
 
@@ -498,7 +506,6 @@ def row_standardize(y) -> NDArray[np.float64]:
         If p < 2 (sample variance needs two entries), or if some row's
         sum of squares overflows; the row is named.
     """
-    # the check's n x p temporary is freed before the copy is made
     out = as_observations(y).copy()
     _standardize_rows(out)
     return out

@@ -238,8 +238,8 @@ def standardized_merge_log_ratio(
     Partition([1] * n1 + [2] * (n - n1)), 1, 2, prior, crp)``: the first
     n1 rows form one cluster and the rest the other.  **y is
     overwritten**: it is checked finite, then row-standardized and
-    transformed in place, so besides y the call holds only n x p bytes
-    for the finite check and one row, where the copying path holds two
+    transformed in place, so besides y the call holds only one row
+    block's finite mask and one row, where the copying path holds two
     copies of y.
 
     Parameters

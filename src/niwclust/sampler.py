@@ -258,8 +258,15 @@ class _ChainCache:
 
     def _pairs(self, rows: int = _ROWS) -> np.ndarray:
         """The pair table, evaluated rows at a time so that its
-        temporaries stay O(rows n).  An entry that is not finite is caught
-        by the weight check of the sweep that reads it."""
+        temporaries stay O(rows n).
+
+        The 2 x 2 determinant of a pair is a c - g^2, with a and c its
+        diagonal of I + G and g its Gram entry.  Near data scale 1e80 the
+        products overflow; only where log|.| or s comes out non-finite are
+        they taken from q = c - g (g / a), the Schur complement, as
+        log a + log q and ((a + c - 2 g) / a) / q, so every other entry
+        keeps its bits.  An entry that is still not finite is caught by the
+        weight check of the sweep that reads it."""
         a = self._one
         n = a.size
         pair = np.empty((n, n))
@@ -268,9 +275,15 @@ class _ChainCache:
                 c = a[lo : lo + rows, None]
                 g = self.gram[lo : lo + rows]
                 det = a * c - g * g
-                pair[lo : lo + rows] = self._value(
-                    2, np.log(det), (a + c - 2.0 * g) / det
-                )
+                log_det, s = np.log(det), (a + c - 2.0 * g) / det
+                bad = ~(np.isfinite(log_det) & np.isfinite(s))
+                if bad.any():
+                    ab, cb = (np.broadcast_to(x, g.shape)[bad] for x in (a, c))
+                    gb = g[bad]
+                    q = cb - gb * (gb / ab)
+                    log_det[bad] = np.log(ab) + np.log(q)
+                    s[bad] = ((ab + cb - 2.0 * gb) / ab) / q
+                pair[lo : lo + rows] = self._value(2, log_det, s)
         return pair
 
     # ---------------------------------------------------------- factors
@@ -453,9 +466,10 @@ class _Scan:
         The singleton candidates of all rows are one gather from the pair
         table.  Each cluster of two or more points is scored for all rows
         at once by ``_column``, and the block stops at the first row whose
-        score drifted; each row's log marginals are then read off those
-        columns in scalars.  The rows are normalized at once.  Temporaries
-        are O((hi - lo) n) floats.
+        score drifted; the cluster's join marginals are then one array
+        expression over the rows, and each member's leave is read off in
+        scalars.  The rows are normalized at once.  Temporaries are
+        O((hi - lo) n) floats.
         """
         chain = self.chain
         cands = self.cands
@@ -467,15 +481,13 @@ class _Scan:
         for r, h in enumerate(mine):
             if h in self.multi:
                 own.setdefault(h, []).append(r)
-        appends, deletions, grow = {}, {}, []
+        appends, deletions = {}, {}
         stop = hi - lo
         with np.errstate(all="ignore"):  # rows past a drifted one are never read
             for lab in self.multi:
                 out, bad = self._column(lab, lo, hi, own.get(lab, ()), deletions)
                 appends[lab] = out
                 stop = min(stop, bad)
-                grow.append((lab, int(cands.searchsorted(lab)), *out,
-                             log(len(self.clusters[lab])), float(log_ml[lab])))
         value = chain.pair[lo:hi].take(self.first.take(cands), axis=1)
         value[:, -1] = chain.single[lo:hi]
         log_w = value - log_ml.take(cands)  # log 1 + value - log_ml for a singleton
@@ -484,13 +496,20 @@ class _Scan:
         rest = [0.0] * stop
         alone = []
         with np.errstate(all="ignore"):  # a non-finite weight is raised by the walk
+            # each larger cluster's joins, for all rows at once; its members'
+            # rows are overwritten below.  A cluster of every point has no
+            # join to score, nor a one-row member's own cluster (t None).
+            for lab, (f, _, schur, t) in appends.items():
+                m = f.z.size
+                if m == chain.single.size or t[0] is None:
+                    continue
+                schur, t = np.array(schur[:stop]), np.array(t[:stop])
+                x = marginal(m + 1, f.log_det + np.log(schur), f.s + t * t / schur)
+                k = cands.searchsorted(lab)
+                value[:stop, k] = x
+                log_w[:stop, k] = log(m) + x - log_ml[lab]
             for r in range(stop):
                 h = mine[r]
-                for lab, k, f, _, s, t, ln, lm in grow:
-                    if lab != h:
-                        x = marginal(f.z.size + 1, *_grown(f, s[r], t[r]))
-                        value[r, k] = x
-                        log_w[r, k] = ln + x - lm
                 if h not in appends:
                     alone.append(r)
                     continue

@@ -14,6 +14,7 @@ from niwclust.errors import ConstantRow, DomainError
 from niwclust.niw import (
     NiwPrior,
     RobustPriorSpec,
+    as_observations,
     cluster_log_marginal,
     robust_prior,
     row_standardize,
@@ -249,6 +250,25 @@ def test_non_finite_prior_is_rejected_by_name(bad):
         NiwPrior(np.zeros(2), bad, 5.0, 1.0)
     with pytest.raises(DomainError, match="nu0 must be finite"):
         NiwPrior(np.zeros(2), 1.0, bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape, cells", [
+    ((3, 100_000), [(2, 6), (1, 99_998)]),  # one-row blocks
+    ((300, 1_000), [(139, 999), (140, 2), (196, 0)]),  # blocks of 65 rows
+])
+def test_first_non_finite_cell_is_named_in_row_major_order(bad, shape, cells):
+    # the check scans row blocks of at most 2^16 cells; the first bad
+    # cell lies past the first block, and another precedes it in column
+    # order
+    y = np.zeros(shape)
+    for cell in cells:
+        y[cell] = bad
+    r, c = min(cells)
+    with pytest.raises(DomainError, match=rf"^data row {r + 1}, column {c + 1} is {bad}; "
+                                          "observations must be finite$"):
+        as_observations(y)
+    assert as_observations(np.empty((0, shape[1]))).shape == (0, shape[1])
 
 
 def test_transform_data_whitens():

@@ -793,22 +793,44 @@ def test_non_finite_weight_raises_and_rolls_back():
     assert state.labels == before
 
 
-@pytest.mark.parametrize("first", [0, 3])
-def test_a_non_finite_weight_names_its_data_row_1_based(first):
-    # rows from first on scaled by 1e80: each pair of them overflows its
-    # 2 x 2 determinant in the pair table, while cluster_log_marginal of
-    # every pair is finite; from singletons, 0-based row first is the first
-    # to read such a pair
+def _scaled_pairs(first):
+    """Six rows in p = 3, those from 0-based row first on scaled by 1e80,
+    where a pair's 2 x 2 determinant a c - g^2 overflows, and a prior."""
     data = np.random.default_rng(0).standard_normal((6, 3))
     data[first:] *= 1e80
-    prior = NiwPrior(np.zeros(3), 1.0, 5.0, 1.0)
+    return data, NiwPrior(np.zeros(3), 1.0, 5.0, 1.0)
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_a_non_finite_weight_names_its_data_row_1_based(first):
+    # every pair's marginal is finite, but row first of the pair table is
+    # nan: from singletons, 0-based point first is the first to read it
+    # (each point reads its own row), and the singletons after it are its
+    # candidates
+    data, prior = _scaled_pairs(first)
     for i in range(6):
         for j in range(i):
             assert np.isfinite(_direct(data, prior, (j, i)))
     state = init_state(data, prior, CrpPrior(1.0), 0, init="singletons")
+    state.chain.pair[first] = np.nan
     with pytest.raises(FloatingPointError, match=rf"for data row {first + 1}$"):
         gibbs_sweep(state, data)
     assert state.labels == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_pair_table_holds_where_its_determinant_overflows(first):
+    # off the diagonal, the table matches cluster_log_marginal however
+    # a c - g^2 overflowed, and a chain from singletons runs clean
+    data, prior = _scaled_pairs(first)
+    state = init_state(data, prior, CrpPrior(1.0), 0, init="singletons")
+    for i in range(6):
+        for j in range(6):
+            if i != j:
+                direct = _direct(data, prior, (i, j))
+                assert abs(state.chain.pair[i, j] - direct) <= 1e-14 * abs(direct)
+    run_chain(data, prior, CrpPrior(1.0), sweeps=20, burnin=0, seed=0,
+              init="singletons", debug=True)
 
 
 def test_failed_sweep_rolls_back_completely(monkeypatch):
