@@ -163,23 +163,27 @@ def _resolve_prior(cfg: argparse.Namespace, kind: str, p: int) -> NiwPrior:
         return NiwPrior(np.zeros(p), 1.0, float(p + 2), 1.0)
     path = kind[len("custom:") :]
     keys = {"mu0": 0.0, "kappa0": 1.0, "nu0": float(p + 2), "lambda0_scale": 1.0}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"bad prior line {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise InvalidConfig(f"unknown prior key {key!r}")
-            try:
-                keys[key] = float(value)
-            except ValueError:
-                raise InvalidConfig(
-                    f"prior key {key!r}: cannot parse {value.strip()!r}"
-                ) from None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"prior file {path} is not UTF-8: {exc.reason}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidConfig(f"bad prior line {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise InvalidConfig(f"unknown prior key {key!r}")
+        try:
+            keys[key] = float(value)
+        except ValueError:
+            raise InvalidConfig(
+                f"prior key {key!r}: cannot parse {value.strip()!r}"
+            ) from None
     return NiwPrior(
         np.full(p, keys["mu0"]),
         keys["kappa0"],
@@ -506,7 +510,11 @@ def cmd_replot(cfg: argparse.Namespace) -> None:
         raise InvalidConfig(f"{cfg.input} has no header to identify the plot kind")
     for name, (columns, plot) in _OUTPUTS.items():
         if set(columns) <= set(table.names):
-            _write_svg(os.path.join(cfg.outdir, f"{name}.svg"), plot(table))
+            try:
+                text = plot(table)
+            except ValueError as exc:  # p <= 0, or no finite value to plot
+                raise InvalidConfig(f"cannot plot {cfg.input}: {exc}") from None
+            _write_svg(os.path.join(cfg.outdir, f"{name}.svg"), text)
             return
     raise InvalidConfig(f"unrecognized columns in {cfg.input}")
 

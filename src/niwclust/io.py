@@ -96,16 +96,32 @@ def read_csv(path) -> CsvTable:
     Raises
     ------
     ParseError
-        On a non-numeric cell (1-based row/column file coordinates).
+        On a non-numeric cell (1-based row/column file coordinates), or a
+        line that is not UTF-8.  A leading byte-order mark is dropped.
     RaggedRows
         When rows disagree on length.
     EmptyTable
         When the file holds no data rows.
     """
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
     table = _read_bulk(lines)
     return table if table is not None else _read_rows(lines, path)
+
+
+def _undecodable(path) -> ParseError:
+    """The error for the first line of path that is not UTF-8.  No
+    multi-byte character holds a newline byte, so lines decode alone."""
+    with open(path, "rb") as fh:
+        for row, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(row, None, f"not UTF-8: {exc.reason}")
+    raise AssertionError(f"{path} decodes line by line")
 
 
 def _read_bulk(lines) -> Optional[CsvTable]:

@@ -18,9 +18,9 @@ matrix), the weight of a point joining a cluster costs one n_c-vector
 product with R, O(n_c^2), and the weight of one leaving it O(n_c), a
 dot product of its row of R.  Applying a move costs O(n_c^2) on each
 side: a join adds one row and column to R, and a departure reflects R
-once (``_Border``, ``_Deletion``).  ``_Scan.block`` scores a block of
-consecutive points against the partition they all see until one of
-them changes it: the singleton candidates of every row are one gather
+once (``_Factor.join``, ``_Factor.leave``).  ``_Scan.block`` scores a
+block of consecutive points against the partition they all see until
+one of them changes it: the singleton candidates of every row are one gather
 from the pair table, each larger cluster is scored by ``_Scan._column``,
 and the weight of a point's own cluster is the log marginal that
 cluster already holds.  ``_column`` is the one function that scores a
@@ -89,11 +89,14 @@ _BLOCK = 4096
 _ROWS = 64
 
 # A sweep batches the scores of at least this many points and scores
-# fewer one at a time (``_Scan.lone``).  On a 2-core x86 box a batched
-# block of one row took about three times as long as one point scored
-# alone (27 against 10 us), and a settled ten-point sweep took 229 us
-# with blocks from 2 rows, 153 us from 8; n = 400 sweeps cost the same
-# from 2 to 16.
+# fewer one at a time (``_Scan.lone``).  Each path wins a benchmark
+# workload, so both stay.  On a 2-core x86 box with one BLAS thread, a
+# block of one row cost 1.9-2.0x a lone row at n = 10 (32-34 against
+# 17 us) and 1.6x at n = 400 (45 against 28 us); _BATCH = 1 made
+# ``sweep``'s 200 ten-point chains slower in 10 of 10 alternating runs
+# (median 0.245 to 0.334 s), and scoring every row alone made
+# ``cluster`` at n = 400, p = 300 slower in 10 of 10 (median 0.133 to
+# 0.166 s).
 _BATCH = 8
 
 
@@ -120,78 +123,47 @@ class _Factor(NamedTuple):
     s: float
     log_det: float
 
+    def join(self, i: int, l: np.ndarray, schur: float, t: float) -> "_Factor":
+        """The factor with point i appended, from the scores of its join
+        (``_Scan._column``): with g the Gram column of i, l = R^T g,
+        schur = 1 + g_ii - l . l, which must not have drifted, and
+        t = 1 - z . l.
 
-def _grown(f: _Factor, schur: float, t: float) -> tuple:
-    """(log|A|, 1^T A^-1 1) of f's cluster with a point appended, from the
-    append's Schur complement and t (see _Border); schur must not have
-    drifted."""
-    return f.log_det + log(schur), f.s + t * t / schur
-
-
-def _shrunk(f: _Factor, d: float, c: float) -> tuple:
-    """(log|A|, 1^T A^-1 1) of f's cluster without a point whose row w of
-    f.root has d = w . w > 0 and c = w . z (see _Deletion)."""
-    return f.log_det + log(d), f.s - c * c / d
-
-
-class _Border(NamedTuple):
-    """Append of point i to f's cluster: with g the Gram column of i,
-    l = R^T g, schur = 1 + g_ii - l . l and t = 1 - z . l.
-
-    Applied, it is R with one row and one column added: with v = R l =
-    A^-1 g and sigma = sqrt(schur), R' = [[R, -v / sigma], [0, 1 / sigma]]
-    and z' = [z, t / sigma].  That is one matrix-vector product and a
-    copy of R, O(m^2) memory traffic with no m x m arithmetic.
-    """
-
-    schur: float
-    f: _Factor
-    i: int
-    l: np.ndarray
-    t: float
-
-    def applied(self) -> _Factor:
-        schur, f, i, l, t = self
-        log_det, s = _grown(f, schur, t)
+        With v = R l = A^-1 g and sigma = sqrt(schur), R is given one row
+        and one column, R' = [[R, -v / sigma], [0, 1 / sigma]], and
+        z' = [z, t / sigma].  That is one matrix-vector product and a copy
+        of R, O(m^2) memory traffic with no m x m arithmetic.
+        """
+        log_det, s = _grown(self, schur, t)
         sigma = sqrt(schur)
         m = l.size
         root = np.empty((m + 1, m + 1))
-        root[:m, :m] = f.root
-        np.multiply(f.root.dot(l), -1.0 / sigma, out=root[:m, m])
+        root[:m, :m] = self.root
+        np.multiply(self.root.dot(l), -1.0 / sigma, out=root[:m, m])
         root[m, :m] = 0.0
         root[m, m] = 1.0 / sigma
         z = np.empty(m + 1)
-        z[:m] = f.z
+        z[:m] = self.z
         z[m] = t / sigma
-        order = np.empty(m + 1, dtype=f.order.dtype)
-        order[:m] = f.order
+        order = np.empty(m + 1, dtype=self.order.dtype)
+        order[:m] = self.order
         order[m] = i
         return _Factor(order, root, z, s, log_det)
 
+    def leave(self, pos: int, d: float, c: float) -> "_Factor":
+        """The factor without the point at position pos, from the scores
+        of its leave (``_Scan._column``): with w its row of R, d = w . w =
+        (A^-1)_pos,pos > 0 and c = w . z.
 
-class _Deletion(NamedTuple):
-    """Deletion of the point at position pos of f's cluster: with w its
-    row of R, d = w . w = (A^-1)_pos,pos, c = w . z and schur = 1 / d,
-    or -inf if d <= 0.
-
-    Applied, a Householder reflection H of the columns maps w onto the
-    last axis, so that the other rows' products with w all sit in the
-    last column; dropping that column and w's row leaves a root of the
-    smaller inverse (its Schur complement).  The last member takes the
-    deleted one's row.  That is one matrix-vector product and one
-    rank-one update, O(m^2), with one m x m temporary.
-    """
-
-    schur: float
-    f: _Factor
-    pos: int
-    d: float
-    c: float
-
-    def applied(self) -> _Factor:
-        _, f, pos, d, c = self
-        log_det, s = _shrunk(f, d, c)
-        root, z, order = f.root, f.z, f.order
+        A Householder reflection H of the columns maps w onto the last
+        axis, so that the other rows' products with w all sit in the last
+        column; dropping that column and w's row leaves a root of the
+        smaller inverse (its Schur complement).  The last member takes the
+        deleted one's row.  That is one matrix-vector product and one
+        rank-one update, O(m^2), with one m x m temporary.
+        """
+        log_det, s = _shrunk(self, d, c)
+        root, z, order = self.root, self.z, self.order
         w = root[pos]
         wk = float(w[-1])
         # H = I - beta u u^T with u = w + a e_k maps w to -a e_k; a takes
@@ -212,6 +184,19 @@ class _Deletion(NamedTuple):
         # H (z - w) without its last entry, with u . (z - w) from c and d
         gamma = beta * (c - d + a * (float(z[-1]) - wk))
         return _Factor(keep, new, z[:-1] - w[:-1] * (1.0 + gamma), s, log_det)
+
+
+def _grown(f: _Factor, schur: float, t: float) -> tuple:
+    """(log|A|, 1^T A^-1 1) of f's cluster with a point appended, from the
+    join's Schur complement and t (see _Factor.join); schur must not have
+    drifted."""
+    return f.log_det + log(schur), f.s + t * t / schur
+
+
+def _shrunk(f: _Factor, d: float, c: float) -> tuple:
+    """(log|A|, 1^T A^-1 1) of f's cluster without a point whose row w of
+    f.root has d = w . w > 0 and c = w . z (see _Factor.leave)."""
+    return f.log_det + log(d), f.s - c * c / d
 
 
 class _ChainCache:
@@ -236,10 +221,10 @@ class _ChainCache:
 
     ``_Scan._column`` alone scores joins and departures against these
     factors, and rebuilds one whose score drifted.  ``_Scan.place``
-    applies the _Border and _Deletion of the one row that moves, built
-    from the scores it was picked by.  A cluster with no entry (a fresh
-    pair, or each cluster of a rebuilt chain) is built from its Gram
-    block on first use.  Entries are never mutated, so copying the dict
+    applies the join and leave of the one row that moves, from the
+    scores it was picked by.  A cluster with no entry (a fresh pair, or
+    each cluster of a rebuilt chain) is built from its Gram block on
+    first use.  Entries are never mutated, so copying the dict
     snapshots the store.
     """
 
@@ -314,7 +299,7 @@ class _ChainCache:
 
 
 class _Block(NamedTuple):
-    """Scores of the points lo, lo + 1, ... against one partition.
+    """Scores of consecutive points lo, lo + 1, ... against one partition.
 
     Row r is point lo + r and column c the candidate cands[c]: the
     current labels, sorted, then the new-cluster slot.  Only the rows
@@ -333,11 +318,10 @@ class _Block(NamedTuple):
     appends maps the label of each cluster of two or more points to
     (f, l, schur, t) from ``_Scan._column``, and deletions the row of a
     member of a cluster of three or more to its (pos, d, c), for a lone
-    row (``_Scan.lone``) as for a block; ``updates`` builds a row's
-    updates from them.
+    row (``_Scan.lone``) as for a block; ``_Scan.place`` applies a row's
+    join and leave from them.
     """
 
-    lo: int
     stop: int
     cands: np.ndarray
     home: np.ndarray
@@ -349,19 +333,6 @@ class _Block(NamedTuple):
     relabel: list
     appends: dict
     deletions: dict
-
-    def updates(self, r: int, h: int, lab: int) -> dict:
-        """The updates that the move of row r's point from h to lab
-        applies, by label: h's deletion and lab's append, where they have
-        factors."""
-        out = {}
-        if r in self.deletions:
-            f, _, schur, _ = self.appends[h]
-            out[h] = _Deletion(schur[r], f, *self.deletions[r])
-        if lab != h and lab in self.appends:
-            f, l, schur, t = self.appends[lab]
-            out[lab] = _Border(schur[r], f, self.lo + r, l[r], t[r])
-        return out
 
 
 def _fresh(cands: np.ndarray, h: int, alone: bool) -> int:
@@ -456,8 +427,8 @@ class _Scan:
             relabel = [0] if _fresh(cands, h, True) != h else []
         # a non-finite weight is raised by the walk, unscaled
         cum = np.exp(log_w - log_w.max()).cumsum() if ok else log_w
-        return _Block(i, 1, cands, [home], value[None], log_w[None], cum[None], [ok],
-                      [rest], relabel, appends, deletions)
+        return _Block(1, cands, [home], value[None], log_w[None], cum[None], [ok], [rest],
+                      relabel, appends, deletions)
 
     def block(self, lo: int, hi: int, labels: list) -> _Block:
         """Score the points lo..hi-1, whose labels are labels[lo:hi], each
@@ -531,7 +502,7 @@ class _Scan:
                 home[alone] = cands.size - 1
             cum = np.exp(log_w - log_w.max(axis=1, keepdims=True)).cumsum(axis=1)
         relabel = [r for r in alone if _fresh(cands, mine[r], True) != mine[r]]
-        return _Block(lo, stop, cands, home, value, log_w, cum, ok, rest, relabel,
+        return _Block(stop, cands, home, value, log_w, cum, ok, rest, relabel,
                       appends, deletions)
 
     def _column(self, lab: int, lo: int, hi: int, own, deletions: dict) -> tuple:
@@ -539,15 +510,16 @@ class _Scan:
         against cluster lab, whose factor f has root R, as ``_Block``
         holds them.
 
-        A join (_Border): row r of l is R^T g for point lo + r, with g its
-        Gram column, and schur[r] = 1 + g_ii - l . l and t[r] = 1 - z . l.
-        A leave (_Deletion), for the rows own of lab's members: schur[r]
-        is 1 / d instead, and deletions[r] gets (pos, d, c), with w the
-        member's row of R, d = w . w and c = w . z.  A pair's member, which
-        leaves a singleton with no factor, gets schur 1.  One row is scored
-        with matrix-vector products, and a member's join of its own
-        cluster is skipped (l and t hold None); more rows take one matmul
-        for the joins and one gather of R's rows for the leaves.
+        A join (``_Factor.join``): row r of l is R^T g for point lo + r,
+        with g its Gram column, and schur[r] = 1 + g_ii - l . l and t[r] =
+        1 - z . l.  A leave (``_Factor.leave``), for the rows own of lab's
+        members: schur[r] is 1 / d instead, and deletions[r] gets (pos, d,
+        c), with w the member's row of R, d = w . w and c = w . z.  A
+        pair's member, which leaves a singleton with no factor, gets
+        schur 1.  One row is scored with matrix-vector products, and a
+        member's join of its own cluster is skipped (l and t hold None);
+        more rows take one matmul for the joins and one gather of R's rows
+        for the leaves.
 
         The drift rule: if row 0's Schur complement drifted, f is rebuilt
         from its Gram block once, and the rebuilt f must give row 0 a
@@ -597,13 +569,14 @@ class _Scan:
         stop = next((r for r in range(1, rows) if _drifted(schur[r])), rows) if rows > 1 else 1
         return (f, l, schur, t), stop
 
-    def place(self, i: int, h: int, lab: int, value: float, rest: float, updates: dict) -> None:
-        """Move point i from cluster h to cluster lab, a label that may name
-        no cluster.  value is lab's log marginal with i, rest h's without
-        it (unread if i was alone), and updates holds, by label, the
-        updates that scored them (``_Block.updates``).  The move stores
-        their factors; one whose Schur complement drifted is built from
-        the new cluster's Gram block instead."""
+    def place(self, i: int, h: int, lab: int, value: float, blk: _Block, r: int) -> None:
+        """Move point i, row r of blk, from cluster h to cluster lab, a
+        label that may name no cluster.  value is lab's log marginal with
+        i; blk.rest[r] is h's without it (unread if i was alone).  The
+        move stores the factors of h's leave and lab's join that blk
+        scored, where those clusters have factors; one whose Schur
+        complement drifted is built from the new cluster's Gram block
+        instead."""
         clusters = self.clusters
         members = clusters[h]
         k = bisect_left(members, i)
@@ -626,15 +599,19 @@ class _Scan:
         chain = self.chain
         for old, new, c in ((members, left, h), (target, key, lab)):
             chain.factors.pop(old, None)
-            out = updates.get(c)
-            if out is not None:
-                drifted = _drifted(out.schur)
-                chain.factors[new] = chain._build(new) if drifted else out.applied()
+            # a pair's member leaves a singleton, which has no factor
+            if c in blk.appends and (c == lab or r in blk.deletions):
+                f, l, schur, t = blk.appends[c]
+                chain.factors[new] = (
+                    chain._build(new) if _drifted(schur[r])
+                    else f.join(i, l[r], schur[r], t[r]) if c == lab
+                    else f.leave(*blk.deletions[r])
+                )
         if not left or not target:
             self.cands = None
         self.size[h] -= 1
         self.size[lab] += 1
-        self.log_ml[h] = rest
+        self.log_ml[h] = blk.rest[r]
         self.log_ml[lab] = value
 
 
@@ -794,14 +771,13 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
     one row.  The block's rows are normalized, summed and searched at
     once, and the walk stops at the first row that moves its point, or
     relabels a point alone by putting it in the new-cluster slot;
-    ``_Scan.place`` applies that row, with the updates that scored it,
-    and the next block starts after it.  The rows before it stayed and
-    change nothing, and those after it are dropped unread.  A block is
-    one row after a move and twice the last one after a block walked
-    through, up to _ROWS rows, so a sweep that moves no point takes about
-    log2(n) + n / _ROWS blocks and one that moves most points one row a
-    block.  Temporaries are O(_ROWS n) floats.  data must have one row
-    per label.
+    ``_Scan.place`` applies that row from the block's scores, and the
+    next block starts after it.  The rows before it stayed and change
+    nothing, and those after it are dropped unread.  A block is one row
+    after a move and twice the last one after a block walked through, up
+    to _ROWS rows, so a sweep that moves no point takes about log2(n) +
+    n / _ROWS blocks and one that moves most points one row a block.
+    Temporaries are O(_ROWS n) floats.  data must have one row per label.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] != len(state.labels):
@@ -824,8 +800,8 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
         dict(chain.factors),
         rng_state,
     )
-    # while no point has moved: per walked row, the cumulative weights
-    # below and at its own slot, and their total
+    # while no point has moved: the cumulative weights and home slot of
+    # each walked row
     walked = []
     moved = False
     scan = _Scan(chain, state.clusters, state.log_ml, state.crp.alpha)
@@ -849,16 +825,8 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                     r = w
             if blk.relabel and blk.relabel[0] < r:
                 r = blk.relabel[0]  # a point alone that stays, relabelled
-            if not moved:  # the walked rows' slots and totals
-                if w == 1:
-                    c, k = cum[0], home[0]
-                    walked.append((c[k - 1] if k else -inf, c[k] if k < last else inf, c[-1]))
-                else:
-                    rr = np.arange(min(r + 1, w))
-                    k = home[rr]
-                    walked += zip(np.where(k > 0, cum[rr, k - 1], -inf).tolist(),
-                                  np.where(k < last, cum[rr, k], inf).tolist(),
-                                  cum[rr, -1].tolist())
+            if not moved:
+                walked.append((cum[: r + 1], home[: r + 1]))
             if r == w:
                 i += w
                 rows *= 2
@@ -873,7 +841,7 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
             if p != home[r]:
                 moved = True
                 rows = 1
-            scan.place(i + r, h, lab, blk.value[r, p], blk.rest[r], blk.updates(r, h, lab))
+            scan.place(i + r, h, lab, blk.value[r, p], blk, r)
             labels[i + r] = lab
             i += r + 1
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):
@@ -881,8 +849,11 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
          state.rng.bit_generator.state) = snapshot
         raise
     _canonicalize(state, scan.log_ml.tolist())
-    if not moved:
-        state.stay = _Stay(*np.array(walked).T)
+    if not moved:  # each point's interval: the cumulative weights below and at its home
+        cum, home = (np.concatenate(x) for x in zip(*walked))
+        pts, last = np.arange(n), cum.shape[1] - 1
+        state.stay = _Stay(np.where(home > 0, cum[pts, home - 1], -inf),
+                           np.where(home < last, cum[pts, home], inf), cum[:, -1])
     state.sweep_index += 1
     return state
 

@@ -348,6 +348,44 @@ def test_replot_needs_recognizable_header(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+def test_byte_order_mark_is_not_a_header(tmp_path, capsys):
+    # a header-less file that starts with a UTF-8 byte-order mark keeps
+    # its first data row
+    data, _ = generate(GenSpec(kind="single_gaussian", n=6, p=3, seed=4))
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_csv(plain, data)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = []
+    for path in (plain, bom):
+        table = read_csv(path)
+        assert table.names is None and table.values.tobytes() == data.tobytes()
+        fit = tmp_path / path.stem
+        assert main(["cluster", "--input", str(path), "--sweeps", "10",
+                     "--burnin", "2", "--outdir", str(fit)]) == 0
+        outs.append((capsys.readouterr().out,
+                     _read_bytes(fit / "co_clustering.csv").split(b"\n", 1)[1]))
+    assert outs[0] == outs[1]
+    assert "n=6 p=3" in outs[0][0]
+
+
+def test_input_that_is_not_utf8_exits_4(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n3,4\xff\n")
+    assert main(["cluster", "--input", str(bad), "--outdir", str(tmp_path)]) == 4
+    assert "row 2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,0.5\n10,0.4\n", "log x axis needs positive x values"),
+    ("5,nan\n10,nan\n", "nothing to plot"),
+])
+def test_replot_of_unplottable_data_exits_2(tmp_path, capsys, rows, message):
+    csv = tmp_path / "projector.csv"
+    csv.write_text("p,median_residual\n" + rows)
+    assert main(["replot", "--input", str(csv), "--outdir", str(tmp_path)]) == 2
+    assert f"cannot plot {csv}: {message}" in capsys.readouterr().err
+
+
 def test_ragged_input_exits_4(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3,4,5\n")
@@ -389,6 +427,20 @@ def test_custom_prior_paths(tmp_path, capsys):
     assert main(["cluster", "--input", str(data_path), "--prior",
                  f"custom:{good}", "--sweeps", "12", "--burnin", "2",
                  "--outdir", str(out)]) == 0
+
+    # a leading byte-order mark is not part of the first key
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbfkappa0=2.0\n")
+    assert main(["cluster", "--input", str(data_path), "--prior",
+                 f"custom:{bom}", "--sweeps", "12", "--burnin", "2",
+                 "--outdir", str(tmp_path / "bom")]) == 0
+
+    undecodable = tmp_path / "undecodable.cfg"
+    undecodable.write_bytes(b"kappa0=2.0\xff\n")
+    assert main(["cluster", "--input", str(data_path), "--prior",
+                 f"custom:{undecodable}", "--sweeps", "12", "--burnin", "2",
+                 "--outdir", str(tmp_path)]) == 2
+    assert f"prior file {undecodable} is not UTF-8" in capsys.readouterr().err
 
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("rho=3\n")

@@ -1,5 +1,6 @@
 """Collapsed Gibbs chain: exactness on tiny problems, plumbing, summaries."""
 
+import inspect
 from math import log
 
 import numpy as np
@@ -120,6 +121,35 @@ def test_one_row_chain(init):
     assert out.co_clustering.tolist() == [[1.0]]
 
 
+def test_the_surface_the_bench_tracer_wraps(monkeypatch):
+    # bench/tracing.py replaces sampler.init_state and sampler.gibbs_sweep
+    # by wrappers that take gibbs_sweep's first two arguments as state and
+    # data and read state.sweep_index, state.k() and, after the chain,
+    # state.check_consistency(data); run_chain must reach both functions
+    # through the module's attributes, or the tracer sees no call
+    assert list(inspect.signature(sampler.gibbs_sweep).parameters)[:2] == ["state", "data"]
+    calls, states = [], []
+
+    def spy(name):
+        fn = getattr(sampler, name)
+
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            state = out if name == "init_state" else args[0]
+            calls.append((name, state.sweep_index, state.k()))
+            states.append(state)
+            return out
+        monkeypatch.setattr(sampler, name, wrapper)
+
+    spy("init_state")
+    spy("gibbs_sweep")
+    data, prior = _mixing_problem(n=6)
+    run_chain(data, prior, CrpPrior(1.0), sweeps=3, burnin=1, seed=2)
+    assert [c[:2] for c in calls] == [("init_state", 0)] + [("gibbs_sweep", s) for s in (1, 2, 3)]
+    assert all(isinstance(k, int) and k >= 1 for *_, k in calls)
+    states[-1].check_consistency(data)
+
+
 def test_run_chain_rejects_bad_sweep_counts():
     data = np.zeros((3, 2)) + np.eye(3, 2)
     prior = NiwPrior(np.zeros(2), 1.0, 4.0, 1.0)
@@ -227,18 +257,18 @@ def _assert_matches_build(chain, idx, f, rel):
 def test_factor_drift_stays_below_1e8_over_many_moves(monkeypatch):
     # the chain keeps moving, so its factors take thousands of updates
     data, prior = _mixing_problem()
-    counts = {"append": 0, "delete": 0}
+    counts = {"join": 0, "leave": 0}
 
-    def count(name, step):
-        applied = step.applied
+    def count(name):
+        step = getattr(sampler._Factor, name)
 
-        def wrapper(self):
+        def wrapper(self, *args):
             counts[name] += 1
-            return applied(self)
-        monkeypatch.setattr(step, "applied", wrapper)
+            return step(self, *args)
+        monkeypatch.setattr(sampler._Factor, name, wrapper)
 
-    count("append", sampler._Border)
-    count("delete", sampler._Deletion)
+    count("join")
+    count("leave")
     state = init_state(data, prior, CrpPrior(1.0), 4, init="single")
     for _ in range(2000):  # about 500 sweeps apply 5000 of each
         if min(counts.values()) >= 5000:
@@ -349,21 +379,27 @@ def test_pair_table_rows_at_a_time_equal_the_whole_table():
         assert np.array_equal(chain._pairs(rows), chain.pair)
 
 
-def _scored(chain, members, f, j):
-    """The update that a lone row scores for point j against factor f of
-    the cluster members, stored first in chain.factors: the _Border of j's
-    join if j is not a member, else the _Deletion of its leave.  It is
-    scored against f itself, with no rebuild."""
+def _moved(chain, members, f, j):
+    """The factor of the cluster members after point j joins it (if not a
+    member) or leaves it, applied from the scores a lone row gives j
+    against factor f, stored first in chain.factors.  The scores are of f
+    itself, with no rebuild, and have not drifted; a leave is scored at
+    j's position in f."""
     idx = tuple(sorted(members))
     chain.factors[idx] = f
-    h, lab = (1, 2) if j in idx else (2, 1)
+    h = 1 if j in idx else 2
     clusters = {1: idx} if j in idx else {1: idx, 2: (j,)}
     labels = [0] * len(chain.single)
     labels[j] = h
     scan = sampler._Scan(chain, clusters, dict.fromkeys(clusters, 0.0), 1.0)
-    out = scan.lone(j, labels).updates(0, h, lab)[1]
-    assert out.f is f and chain.factors[idx] is f
-    return out
+    blk = scan.lone(j, labels)
+    g, l, schur, t = blk.appends[1]
+    assert g is f and chain.factors[idx] is f and not sampler._drifted(schur[0])
+    if j not in idx:
+        return f.join(j, l[0], schur[0], t[0])
+    pos, d, c = blk.deletions[0]
+    assert pos == f.order.tolist().index(j)
+    return f.leave(pos, d, c)
 
 
 @given(seed=st.integers(0, 10 ** 6), steps=st.integers(1, 12))
@@ -380,11 +416,11 @@ def test_factor_updates_match_direct_factorization(seed, steps):
         outside = sorted(set(range(10)) - set(members))
         if outside and (len(members) == 2 or rng.random() < 0.5):
             j = int(rng.choice(outside))
-            f = _scored(chain, members, f, j).applied()
+            f = _moved(chain, members, f, j)
             members.append(j)
         else:
             j = int(rng.choice(members))
-            f = _scored(chain, members, f, j).applied()
+            f = _moved(chain, members, f, j)
             members.remove(j)
         members.sort()
         _assert_matches_build(chain, tuple(members), f, rel=1e-9)
@@ -395,8 +431,8 @@ def test_factor_is_not_mutated_by_update():
     chain = sampler._ChainCache(data, prior)
     f = chain._build((1, 3, 4, 6))
     before = [a.copy() for a in (f.order, f.root, f.z)] + [f.s, f.log_det]
-    _scored(chain, (1, 3, 4, 6), f, 2).applied()
-    _scored(chain, (1, 3, 4, 6), f, 4).applied()
+    _moved(chain, (1, 3, 4, 6), f, 2)
+    _moved(chain, (1, 3, 4, 6), f, 4)
     after = [f.order, f.root, f.z, f.s, f.log_det]
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
@@ -429,9 +465,7 @@ def test_householder_deletion_matches_build_at_every_position(m):
         rest = members[:i] + members[i + 1:]
         signs.add(np.sign(f.root[pos, -1]))
         for g in (f, _last_entry_zeroed(f, pos)):
-            out = _scored(chain, members, g, i)
-            assert out.pos == pos and not sampler._drifted(out.schur)
-            _assert_matches_build(chain, rest, out.applied(), rel=1e-12)
+            _assert_matches_build(chain, rest, _moved(chain, members, g, i), rel=1e-12)
     assert signs == {-1.0, 1.0}
 
 
@@ -446,11 +480,11 @@ def test_root_stays_an_inverse_over_500_random_moves():
         outside = sorted(set(range(n)) - set(members))
         if outside and (len(members) < 3 or rng.random() < 0.5):
             j = int(rng.choice(outside))
-            f = _scored(chain, members, f, j).applied()
+            f = _moved(chain, members, f, j)
             members.append(j)
         else:
             j = int(rng.choice(members))
-            f = _scored(chain, members, f, j).applied()
+            f = _moved(chain, members, f, j)
             members.remove(j)
         a = np.eye(f.z.size) + chain.gram[np.ix_(f.order, f.order)]
         assert np.abs(f.root @ f.root.T @ a - np.eye(f.z.size)).max() < 1e-10, move
@@ -493,9 +527,10 @@ def test_drifted_factor_is_rebuilt():
     assert values[cands.searchsorted(2)] == pytest.approx(
         _direct(data, prior, (1, 3, 6)), rel=1e-10)
     chain.factors = {members: nan_factor, pair: nan_pair}
-    updates = {c: out._replace(schur=np.nan) for c, out in block.updates(0, 1, 2).items()}
-    assert set(updates) == {1, 2}
-    scan.place(3, 1, 2, values[cands.searchsorted(2)], block.rest[0], updates)
+    assert set(block.appends) == {1, 2} and 0 in block.deletions
+    for c in (1, 2):
+        block.appends[c][2][0] = np.nan  # the Schur complement of row 0
+    scan.place(3, 1, 2, values[cands.searchsorted(2)], block, 0)
     assert set(chain.factors) == {rest, (1, 3, 6)}
     for idx, f in chain.factors.items():
         ref = chain._build(idx)
@@ -503,8 +538,8 @@ def test_drifted_factor_is_rebuilt():
 
 
 def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
-    # place stores the applied factors of the updates its block (or lone
-    # row) scored, bit for bit, and scores no append or deletion of its own
+    # place stores the factors of the join and leave its block (or lone
+    # row) scored, bit for bit, and scores no join or leave of its own
     data, prior = _mixing_problem()
     place = sampler._Scan.place
     inside = []  # block scoring done inside place
@@ -518,17 +553,20 @@ def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
             return step(*args)
         return wrapper
 
-    def placing(scan, i, h, lab, value, rest, updates):
+    def placing(scan, i, h, lab, value, blk, r):
         nonlocal applied, in_place
         expected = []
-        for c in (h, lab):
-            out = updates.get(c)
-            if out is not None:
-                assert not sampler._drifted(out.schur)
-                expected.append(out.applied())
+        if r in blk.deletions:
+            f, _, schur, _ = blk.appends[h]
+            assert not sampler._drifted(schur[r])
+            expected.append(f.leave(*blk.deletions[r]))
+        if lab in blk.appends:
+            f, l, schur, t = blk.appends[lab]
+            assert not sampler._drifted(schur[r])
+            expected.append(f.join(i, l[r], schur[r], t[r]))
         in_place = True
         try:
-            place(scan, i, h, lab, value, rest, updates)
+            place(scan, i, h, lab, value, blk, r)
         finally:
             in_place = False
         for f in expected:
@@ -643,11 +681,16 @@ def test_a_lone_row_scores_as_a_block_of_one_row():
             assert np.allclose(whole.log_w[i], lone.log_w[0], rtol=1e-12, atol=1e-12)
             assert np.array_equal(np.isinf(whole.log_w[i]), np.isinf(lone.log_w[0]))
             assert whole.rest[i] == pytest.approx(lone.rest[0], rel=1e-12, abs=1e-12)
-            for lab in clusters:
-                a, b = whole.updates(i, labels[i], lab), lone.updates(0, labels[i], lab)
-                assert a.keys() == b.keys()
-                for c in a:
-                    assert a[c].schur == pytest.approx(b[c].schur, rel=1e-12)
+            # the joins and the leave a move of the point would apply; a
+            # lone row does not score the pair it leaves
+            h = labels[i]
+            assert whole.appends.keys() - {h} == lone.appends.keys() - {h}
+            assert (i in whole.deletions) == (0 in lone.deletions)
+            for c in lone.appends:
+                assert whole.appends[c][2][i] == pytest.approx(lone.appends[c][2][0], rel=1e-12)
+            if i in whole.deletions:
+                (pa, *a), (pb, *b) = whole.deletions[i], lone.deletions[0]
+                assert pa == pb and a == pytest.approx(b, rel=1e-12)
             checked += 1
     assert checked == 240
 
@@ -929,32 +972,36 @@ def _settled(data, prior, seed):
     raise AssertionError("the chain did not settle")
 
 
-def test_stay_test_matches_scalar_sweeps():
+def test_stay_test_matches_scalar_sweeps(monkeypatch):
     # a hand loop answers a sweep by the stay test when it can and scans it
     # otherwise; its twin scans every sweep, and both must agree bit for
-    # bit after every sweep
+    # bit after every sweep.  Under the module's _BATCH every row of these
+    # 8 points is a lone row; _BATCH = 1 scores every block batched, so
+    # blocks of several rows write the stay records
     data, prior = _stay_problem()
-    answered = moved = 0
-    for seed in range(5):
-        state = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
-        twin = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
-        for _ in range(300):
-            stay = state.stay
-            if stay is not None and stay.count(state, 1):
-                assert state.stay is stay
-                answered += 1
-            else:
-                gibbs_sweep(state, data)
-                if stay is not None:
-                    assert state.stay is None  # the scan moved a point
-                    moved += 1
-            gibbs_sweep(twin, data)
-            assert state.labels == twin.labels
-            assert state.log_ml == twin.log_ml
-            assert state.rng.bit_generator.state == twin.rng.bit_generator.state
-            assert state.sweep_index == twin.sweep_index
-        state.check_consistency(data)
-    assert answered > 100 and moved > 100, (answered, moved)
+    for batch in (sampler._BATCH, 1):
+        monkeypatch.setattr(sampler, "_BATCH", batch)
+        answered = moved = 0
+        for seed in range(5):
+            state = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
+            twin = init_state(data, prior, CrpPrior(1.0), seed, init="singletons")
+            for _ in range(300):
+                stay = state.stay
+                if stay is not None and stay.count(state, 1):
+                    assert state.stay is stay
+                    answered += 1
+                else:
+                    gibbs_sweep(state, data)
+                    if stay is not None:
+                        assert state.stay is None  # the scan moved a point
+                        moved += 1
+                gibbs_sweep(twin, data)
+                assert state.labels == twin.labels
+                assert state.log_ml == twin.log_ml
+                assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+                assert state.sweep_index == twin.sweep_index
+            state.check_consistency(data)
+        assert answered > 100 and moved > 100, (batch, answered, moved)
 
 
 def test_scan_that_moves_no_point_keeps_log_ml():
@@ -1114,14 +1161,19 @@ def _scanned_summary(data, prior, seed, sweeps, burnin):
     return co / (sweeps - burnin), tuple(k_trace), k_mode, tuple(kept)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 3])
-def test_block_stay_tests_equal_per_sweep_scans(monkeypatch, rows):
+@pytest.mark.parametrize("rows, batch", [(r, b) for b in (None, 1) for r in (None, 1, 3)],
+                         ids=["None", "1", "3", "None-batch1", "1-batch1", "3-batch1"])
+def test_block_stay_tests_equal_per_sweep_scans(monkeypatch, rows, batch):
     # rows = 1 gives one-row blocks, rows = 3 runs that span several
-    # blocks and failures inside one; None keeps the module's block
+    # blocks and failures inside one; None keeps the module's block.
+    # batch 1 has scan blocks of several rows write the stay records
+    # (see test_stay_test_matches_scalar_sweeps)
     data, prior = _stay_problem()
     n = len(data)
     if rows is not None:
         monkeypatch.setattr(sampler, "_BLOCK", rows * n)
+    if batch is not None:
+        monkeypatch.setattr(sampler, "_BATCH", batch)
     calls = []  # (limit, answered) of the counts run_chain makes
     count = sampler._Stay.count
 
