@@ -303,7 +303,8 @@ class _Block(NamedTuple):
 
     Row r is point lo + r and column c the candidate cands[c]: the
     current labels, sorted, then the new-cluster slot.  Only the rows
-    below stop were scored.  value[r, c] is the log marginal of the
+    below stop were scored, and home, log_w, cum, ok and rest hold only
+    those.  value[r, c] is the log marginal of the
     candidate with the point added (for its own cluster, the one that
     cluster holds), log_w[r, c] its log weight, log n_c + value - log_ml
     with the point taken out, and cum the running sums of the weights
@@ -463,7 +464,7 @@ class _Scan:
         value[:, -1] = chain.single[lo:hi]
         log_w = value - log_ml.take(cands)  # log 1 + value - log_ml for a singleton
         log_w[:, -1] = self.log_alpha + value[:, -1]
-        home = cands.searchsorted(mine)
+        home = cands.searchsorted(mine[:stop])
         rest = [0.0] * stop
         alone = []
         with np.errstate(all="ignore"):  # a non-finite weight is raised by the walk
@@ -569,10 +570,11 @@ class _Scan:
         stop = next((r for r in range(1, rows) if _drifted(schur[r])), rows) if rows > 1 else 1
         return (f, l, schur, t), stop
 
-    def place(self, i: int, h: int, lab: int, value: float, blk: _Block, r: int) -> None:
+    def place(self, i: int, h: int, lab: int, blk: _Block, r: int, p: int) -> None:
         """Move point i, row r of blk, from cluster h to cluster lab, a
-        label that may name no cluster.  value is lab's log marginal with
-        i; blk.rest[r] is h's without it (unread if i was alone).  The
+        label that may name no cluster, picked in slot p.  blk.value[r, p]
+        is lab's log marginal with i and blk.rest[r] h's without it (unread
+        if i was alone).  The
         move stores the factors of h's leave and lab's join that blk
         scored, where those clusters have factors; one whose Schur
         complement drifted is built from the new cluster's Gram block
@@ -612,7 +614,7 @@ class _Scan:
         self.size[h] -= 1
         self.size[lab] += 1
         self.log_ml[h] = blk.rest[r]
-        self.log_ml[lab] = value
+        self.log_ml[lab] = blk.value[r, p]
 
 
 class _Stay(NamedTuple):
@@ -818,8 +820,8 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
                 pick = [min(int(cum[0].searchsorted(us[i] * cum[0, -1], "right")), last)]
                 r = 0 if pick[0] != home[0] or not blk.ok[0] else 1
             else:
-                pick = (cum[:w, :-1] <= (us[i : i + w] * cum[:w, -1])[:, None]).sum(axis=1)
-                edit = (pick != home[:w]) | ~blk.ok[:w]
+                pick = (cum[:, :-1] <= (us[i : i + w] * cum[:, -1])[:, None]).sum(axis=1)
+                edit = (pick != home) | ~blk.ok
                 r = int(edit.argmax())
                 if not edit[r]:
                     r = w
@@ -841,7 +843,7 @@ def gibbs_sweep(state: SamplerState, data) -> SamplerState:
             if p != home[r]:
                 moved = True
                 rows = 1
-            scan.place(i + r, h, lab, blk.value[r, p], blk, r)
+            scan.place(i + r, h, lab, blk, r, p)
             labels[i + r] = lab
             i += r + 1
     except (ArithmeticError, NotPositiveDefinite, np.linalg.LinAlgError):

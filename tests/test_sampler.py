@@ -530,7 +530,7 @@ def test_drifted_factor_is_rebuilt():
     assert set(block.appends) == {1, 2} and 0 in block.deletions
     for c in (1, 2):
         block.appends[c][2][0] = np.nan  # the Schur complement of row 0
-    scan.place(3, 1, 2, values[cands.searchsorted(2)], block, 0)
+    scan.place(3, 1, 2, block, 0, cands.searchsorted(2))
     assert set(chain.factors) == {rest, (1, 3, 6)}
     for idx, f in chain.factors.items():
         ref = chain._build(idx)
@@ -553,7 +553,7 @@ def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
             return step(*args)
         return wrapper
 
-    def placing(scan, i, h, lab, value, blk, r):
+    def placing(scan, i, h, lab, blk, r, p):
         nonlocal applied, in_place
         expected = []
         if r in blk.deletions:
@@ -566,7 +566,7 @@ def test_a_move_applies_the_updates_its_weights_computed(monkeypatch):
             expected.append(f.join(i, l[r], schur[r], t[r]))
         in_place = True
         try:
-            place(scan, i, h, lab, value, blk, r)
+            place(scan, i, h, lab, blk, r, p)
         finally:
             in_place = False
         for f in expected:
@@ -752,6 +752,45 @@ def test_one_drift_rule_for_lone_rows_and_blocks(monkeypatch):
     scan = sampler._Scan(chain, dict(clusters), dict(log_ml), alpha)
     check(scan.block(0, 8, labels), 0, 5)
     assert builds == [] and chain.factors[members] is bad
+
+
+def test_a_block_cut_by_drift_keeps_the_stay_record_whole(monkeypatch):
+    # a settled state of one cluster whose factor drifted at member 5:
+    # _BATCH = 1 scores rows 3..6 as one block, cut at row 5, which walks
+    # through; the next block rescans row 5 and rebuilds the factor.  The
+    # sweep's stay record has one entry a point, each as a twin's with the
+    # exact factor, and the cut row is recorded once
+    monkeypatch.setattr(sampler, "_BATCH", 1)
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((8, 3)) * 0.1
+    prior = NiwPrior(np.zeros(3), 0.5, 5.0, 1.0)
+    members = tuple(range(8))
+    block = sampler._Scan.block
+    cuts = []
+
+    def spy(scan, lo, hi, labels):
+        out = block(scan, lo, hi, labels)
+        if out.stop < hi - lo:
+            cuts.append((lo, lo + out.stop))
+        return out
+
+    monkeypatch.setattr(sampler._Scan, "block", spy)
+    for seed in range(3):
+        state = init_state(data, prior, CrpPrior(0.01), seed)
+        twin = init_state(data, prior, CrpPrior(0.01), seed)
+        state.chain.factors[members] = _drifted_leave(state.chain, members, 5)
+        cuts.clear()
+        gibbs_sweep(state, data)
+        assert cuts == [(3, 5)]
+        gibbs_sweep(twin, data)
+        assert state.labels == twin.labels == [1] * 8
+        assert state.log_ml == twin.log_ml
+        assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert twin.stay is not None and state.stay is not None
+        for a, b in zip(state.stay, twin.stay):
+            assert a.shape == (8,)
+            np.testing.assert_array_equal(a, b)
+        state.check_consistency(data)
 
 
 def test_a_scan_that_moves_no_point_takes_few_blocks(monkeypatch):
