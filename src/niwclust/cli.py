@@ -9,11 +9,14 @@ Four experiment drivers plus a replot utility, one entry each in
   projector  Woodbury projector residual medians over a p grid
   replot     regenerate the SVG for an existing output CSV
 
-The parsed argparse namespace is the run configuration.  Every output
-CSV starts with a metadata comment line (version, full config, seed,
-generator name) and every SVG is a pure function of its CSV, so replot
-reproduces plots byte-identically.  Exit codes: 0 ok, 2 config error,
-3 numeric failure, 4 I/O failure.
+The parsed argparse namespace is the run configuration and holds every
+field of the metadata line.  Each command takes only the options its
+outputs depend on, listed in ``_COMMANDS``; the namespace holds the
+others at their defaults, and argparse rejects them as usage errors.
+Every output CSV starts with a metadata comment line (version, full
+config, seed, generator name) and every SVG is a pure function of its
+CSV, so replot reproduces plots byte-identically.  Exit codes: 0 ok,
+2 config or usage error, 3 numeric failure, 4 I/O failure.
 
 limits and projector run their replicates on a thread pool: numpy
 releases the GIL while it fills and reduces their large arrays.  sweep
@@ -87,18 +90,14 @@ _SWEEP_COLUMNS = (
 # at p ~ 2000 under the robust prior; the naive prior collapses anyway.
 _SWEEP_SEPARATION = 20.0
 
-# commands that choose their own prior, so --prior must keep its default
-_FIXED_PRIOR = {
-    "limits": "it compares against robust-prior limits",
-    "sweep": "it always runs both the robust and the naive prior",
-    "projector": "it uses no prior",
-}
-
 
 def _validate(cfg: argparse.Namespace) -> None:
-    """Reject a bad configuration; parses cfg.p_grid into a tuple."""
+    """Reject a bad configuration; parses cfg.p_grid into a tuple.  An
+    option the command does not take holds a default that passes every
+    check but the p grid's and the input's."""
+    takes = _COMMANDS[cfg.command][2].split()
     cfg.p_grid = _parse_grid(cfg.p_grid)
-    if cfg.command in ("limits", "sweep", "projector"):
+    if "p-grid" in takes:
         if not cfg.p_grid:
             raise InvalidConfig("p_grid must not be empty")
         if any(b <= a for a, b in zip(cfg.p_grid, cfg.p_grid[1:])):
@@ -113,8 +112,6 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise InvalidConfig(f"alpha must be positive and finite, got {cfg.alpha}")
     if cfg.seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.command in _FIXED_PRIOR and cfg.prior != "robust":
-        raise InvalidConfig(f"{cfg.command} takes no --prior: {_FIXED_PRIOR[cfg.command]}")
     # every command that builds a robust prior runs with prior == robust
     if cfg.prior == "robust" and not 1 < cfg.c2 < np.inf:
         raise InvalidConfig(f"robust prior needs c2 > 1 and finite, got {cfg.c2}")
@@ -122,10 +119,9 @@ def _validate(cfg: argparse.Namespace) -> None:
         raise InvalidConfig(f"robust prior needs c1 > 0 and finite, got {cfg.c1}")
     if cfg.prior not in ("robust", "naive") and not cfg.prior.startswith("custom:"):
         raise InvalidConfig(f"unknown prior {cfg.prior!r}")
-    if cfg.command in ("sweep", "cluster"):
-        if cfg.burnin < 0 or cfg.sweeps <= cfg.burnin:
-            raise InvalidConfig("need sweeps > burnin >= 0")
-    if cfg.command in ("cluster", "replot") and not cfg.input:
+    if cfg.burnin < 0 or cfg.sweeps <= cfg.burnin:
+        raise InvalidConfig("need sweeps > burnin >= 0")
+    if "input" in takes and not cfg.input:
         raise InvalidConfig(f"{cfg.command} requires --input")
 
 
@@ -522,15 +518,41 @@ def cmd_replot(cfg: argparse.Namespace) -> None:
 # ------------------------------------------------------------------ main
 
 
-# name -> (command, default --n1/--n2, help).  sweep draws a 10-point
-# mixture by default; the analytic commands default to the smallest
-# nontrivial pair
+# name -> (command, default --n1/--n2, the options it takes, help).
+# sweep draws a 10-point mixture by default; the analytic commands
+# default to the smallest nontrivial pair.  limits and sweep build their
+# own priors and projector uses none, so only cluster takes --prior
 _COMMANDS = {
-    "limits": (cmd_limits, 1, "merge-ratio terms vs analytic limits over a p grid"),
-    "cluster": (cmd_cluster, 1, "collapsed Gibbs clustering of a CSV dataset"),
-    "sweep": (cmd_sweep, 5, "robust vs naive prior sampler dichotomy across p"),
-    "projector": (cmd_projector, 1, "projector residual medians over a p grid"),
-    "replot": (cmd_replot, 1, "regenerate the SVG for an output CSV"),
+    "limits": (cmd_limits, 1, "p-grid c1 c2 n1 n2 replicates seed outdir",
+               "merge-ratio terms vs analytic limits over a p grid"),
+    "cluster": (cmd_cluster, 1, "input truth prior c1 c2 alpha sweeps burnin seed outdir",
+                "collapsed Gibbs clustering of a CSV dataset"),
+    "sweep": (cmd_sweep, 5, "p-grid c1 c2 alpha n1 n2 replicates sweeps burnin seed outdir",
+              "robust vs naive prior sampler dichotomy across p"),
+    "projector": (cmd_projector, 1, "p-grid n1 replicates seed outdir",
+                  "projector residual medians over a p grid"),
+    "replot": (cmd_replot, 1, "input outdir", "regenerate the SVG for an output CSV"),
+}
+
+# option -> add_argument keywords; --n1 and --n2 default to the command's size
+_OPTIONS = {
+    # parsed in _validate, so a bad grid is a config error (exit 2)
+    "p-grid": dict(default="", metavar="P1,P2,...",
+                   help="comma-separated strictly increasing dimensions"),
+    "c1": dict(type=float, default=1.0, help="robust prior kappa0 = c1*sqrt(p)"),
+    "c2": dict(type=float, default=2.0, help="robust prior nu0 = c2*p, c2 > 1"),
+    "alpha": dict(type=float, default=1.0, help="CRP concentration"),
+    "n1": dict(type=int, help="first cluster size, or projector row count "
+               "(default %(default)s)"),
+    "n2": dict(type=int, help="second cluster size (default %(default)s)"),
+    "replicates": dict(type=int, default=20),
+    "sweeps": dict(type=int, default=200),
+    "burnin": dict(type=int, default=50),
+    "seed": dict(type=int, default=0),
+    "input": dict(default=None, help="input CSV path"),
+    "truth": dict(default=None, help="true labels CSV (one integer column)"),
+    "outdir": dict(default="."),
+    "prior": dict(default="robust", help="robust, naive, or custom:FILE"),
 }
 
 
@@ -541,35 +563,18 @@ def build_parser() -> argparse.ArgumentParser:
         "for Gaussian mixtures under NIW priors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, size, text) in _COMMANDS.items():
+    for name, (run, size, takes, text) in _COMMANDS.items():
         # one set of actions per subparser, so each keeps its own
         # --n1/--n2 default (actions shared through parents= would not)
         cmd = sub.add_parser(name, help=text)
-        # parsed in _validate, so a bad grid is a config error (exit 2)
-        cmd.add_argument("--p-grid", default="", metavar="P1,P2,...",
-                         help="comma-separated strictly increasing dimensions")
-        cmd.add_argument("--c1", type=float, default=1.0,
-                         help="robust prior kappa0 = c1*sqrt(p)")
-        cmd.add_argument("--c2", type=float, default=2.0,
-                         help="robust prior nu0 = c2*p, c2 > 1")
-        cmd.add_argument("--alpha", type=float, default=1.0,
-                         help="CRP concentration")
-        cmd.add_argument("--n1", type=int, default=size,
-                         help="first cluster size, or projector row count "
-                         "(default %(default)s)")
-        cmd.add_argument("--n2", type=int, default=size,
-                         help="second cluster size (default %(default)s)")
-        cmd.add_argument("--replicates", type=int, default=20)
-        cmd.add_argument("--sweeps", type=int, default=200)
-        cmd.add_argument("--burnin", type=int, default=50)
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--input", default=None, help="input CSV path")
-        cmd.add_argument("--truth", default=None,
-                         help="true labels CSV (one integer column)")
-        cmd.add_argument("--outdir", default=".")
-        cmd.add_argument("--prior", default="robust",
-                         help="robust, naive, or custom:FILE")
-        cmd.set_defaults(run=run)
+        held = {}  # the default of each option the command does not take
+        for option, spec in _OPTIONS.items():
+            spec = {"default": size, **spec}
+            if option in takes.split():
+                cmd.add_argument("--" + option, **spec)
+            else:
+                held[option.replace("-", "_")] = spec["default"]
+        cmd.set_defaults(run=run, **held)
     return parser
 
 

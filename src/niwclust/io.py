@@ -16,9 +16,9 @@ line loadtxt rejects, and a width that differs from the header's.  That
 path alone raises ParseError, RaggedRows and EmptyTable, and it reads
 the cell forms only ``float`` accepts ('1_0', non-ASCII digits).
 
-Writing formats each distinct wide row once, and each distinct value of
-such a row once (a settled chain's co-clustering matrix has a handful of
-distinct rows); the bytes are those of '%.17g' applied cell by cell.
+Writing formats each row with one '%.17g' template, and each of the
+first few distinct rows once (a settled chain's co-clustering matrix
+has a handful of distinct rows).
 """
 
 import csv
@@ -30,14 +30,8 @@ from .errors import EmptyTable, ParseError, RaggedRows
 
 __all__ = ["CsvTable", "read_csv", "write_csv"]
 
-# write_csv looks for repeated values and rows only in rows this wide.
-# np.unique costs about 15 us a row, the time to format 30 to 60 cells,
-# and its first call maps about 0.3 MB of sort code that narrow tables
-# never need.
-_DISTINCT_WIDTH = 64
-
-# write_csv keeps the lines of at most this many distinct wide rows, so
-# the memory it holds stays O(width).
+# write_csv keeps the lines of at most this many distinct rows, so the
+# memory it holds stays O(width).
 _LINES = 8
 
 
@@ -64,30 +58,15 @@ def write_csv(path, values, names: Optional[Sequence[str]] = None, metadata: Opt
                 raise ValueError(f"{len(names)} names for {width} columns")
             fh.write(",".join(names) + "\n")
         # a row at a time, so the table is never held as Python floats
-        lines = {}  # a wide row's bytes -> its line, for at most _LINES rows
+        lines = {}  # a row's bytes -> its line, for at most _LINES rows
         for row in values:
-            if width < _DISTINCT_WIDTH:
-                fh.write(template % tuple(row.tolist()))
-                continue
             key = row.tobytes()
             line = lines.get(key)
             if line is None:
-                line = _wide_line(row, template)
+                line = template % tuple(row.tolist())
                 if len(lines) < _LINES:
                     lines[key] = line
             fh.write(line)
-
-
-def _wide_line(row, template: str) -> str:
-    """The line of a wide row, formatting each distinct value once."""
-    # distinct by bit pattern, so -0.0 and 0.0 stay apart
-    bits, where = np.unique(row.view(np.int64), return_inverse=True)
-    if bits.size == row.size:
-        return template % tuple(row.tolist())
-    # a row of repeats (a co-clustering row holds at most sweeps - burnin
-    # + 1 values)
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return ",".join(text[where].tolist()) + "\n"
 
 
 def read_csv(path) -> CsvTable:

@@ -220,10 +220,13 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["limits", "--p-grid", "100,50", "--outdir", str(tmp_path)]) == 2
     assert main(["limits", "--p-grid", "a,b", "--outdir", str(tmp_path)]) == 2
     assert main(["cluster", "--outdir", str(tmp_path)]) == 2
-    assert main(["limits", "--p-grid", "50", "--prior", "naive",
-                 "--outdir", str(tmp_path)]) == 2
+    assert main(["replot", "--outdir", str(tmp_path)]) == 2
     assert main(["sweep", "--p-grid", "60", "--sweeps", "5", "--burnin", "9",
                  "--outdir", str(tmp_path)]) == 2
+    # an option the command does not take is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["limits", "--p-grid", "50", "--prior", "naive", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_c1_is_checked_with_c2(tmp_path, capsys):
@@ -237,18 +240,29 @@ def test_commands_with_their_own_prior_reject_prior(tmp_path, capsys):
     # sweep builds both priors and projector none, so --prior is an error
     # for them, not a setting that is recorded and then ignored
     cases = [
-        (["sweep", "--prior", "naive", "--c2", "0.5"], "sweep takes no --prior"),
-        (["sweep", "--prior", "naive"], "sweep takes no --prior"),
-        (["projector", "--prior", "custom:/nonexistent"], "projector takes no --prior"),
-        (["projector", "--prior", "naive"], "projector takes no --prior"),
-        (["limits", "--prior", "naive"], "limits takes no --prior"),
+        ["sweep", "--prior", "naive", "--c2", "0.5"],
+        ["sweep", "--prior", "naive"],
+        ["projector", "--prior", "custom:/nonexistent"],
+        ["projector", "--prior", "naive"],
+        ["limits", "--prior", "naive"],
     ]
-    for argv, message in cases:
+    for argv in cases:
         out = tmp_path / argv[0]
-        assert main(argv + ["--p-grid", "20", "--replicates", "1",
-                            "--outdir", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not (out / f"{argv[0]}.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--p-grid", "20", "--replicates", "1", "--outdir", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --prior {argv[2]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# options for a small run of each command, around the option a test sets
+_RUN_OPTIONS = {
+    "limits": ["--p-grid", "10,100", "--replicates", "1"],
+    "projector": ["--p-grid", "10,100", "--replicates", "1"],
+    "sweep": ["--p-grid", "10,100", "--replicates", "1", "--sweeps", "5",
+              "--burnin", "1"],
+    "cluster": ["--sweeps", "5", "--burnin", "1"],
+}
 
 
 def test_c1_c2_checked_for_every_robust_prior_command(tmp_path, capsys):
@@ -258,8 +272,10 @@ def test_c1_c2_checked_for_every_robust_prior_command(tmp_path, capsys):
                                      ("--c1", "0", "robust prior needs c1 > 0"),
                                      ("--c2", "inf", "c2 > 1 and finite, got inf"),
                                      ("--c1", "inf", "c1 > 0 and finite, got inf")):
-            argv = [command, "--p-grid", "20", "--input", "unused.csv",
-                    flag, value, "--outdir", str(tmp_path)]
+            argv = [command, *_RUN_OPTIONS[command], flag, value,
+                    "--outdir", str(tmp_path)]
+            if command == "cluster":
+                argv += ["--input", "unused.csv"]
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
@@ -268,7 +284,7 @@ def test_c1_c2_checked_for_every_robust_prior_command(tmp_path, capsys):
     *[(c, "--seed", "-1", "seed must be >= 0, got -1")
       for c in ("limits", "projector", "sweep", "cluster")],
     *[(c, "--alpha", "inf", "alpha must be positive and finite, got inf")
-      for c in ("limits", "sweep", "cluster")],
+      for c in ("sweep", "cluster")],
 ])
 def test_bad_seed_or_alpha_exits_2(tmp_path, capsys, command, flag, value, message):
     # numpy's seeding raises a bare ValueError on a negative seed, and an
@@ -276,12 +292,48 @@ def test_bad_seed_or_alpha_exits_2(tmp_path, capsys, command, flag, value, messa
     data, _ = generate(GenSpec(kind="two_cluster_mixture", n=6, p=5,
                                separation=4.0, seed=3))
     write_csv(tmp_path / "data.csv", data)
-    argv = [command, "--p-grid", "10,100", "--replicates", "1", "--sweeps", "5",
-            "--burnin", "1", "--input", str(tmp_path / "data.csv"), flag, value,
+    argv = [command, *_RUN_OPTIONS[command], flag, value,
             "--outdir", str(tmp_path / "out")]
+    if command == "cluster":
+        argv += ["--input", str(tmp_path / "data.csv")]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# the options each command takes, and a value for each that is not its default
+_TAKES = {
+    "limits": {"--p-grid", "--c1", "--c2", "--n1", "--n2", "--replicates", "--seed",
+               "--outdir"},
+    "projector": {"--p-grid", "--n1", "--replicates", "--seed", "--outdir"},
+    "sweep": {"--p-grid", "--c1", "--c2", "--alpha", "--n1", "--n2", "--replicates",
+              "--sweeps", "--burnin", "--seed", "--outdir"},
+    "cluster": {"--input", "--truth", "--prior", "--c1", "--c2", "--alpha", "--sweeps",
+                "--burnin", "--seed", "--outdir"},
+    "replot": {"--input", "--outdir"},
+}
+_VALUES = {"--p-grid": "20", "--c1": "1.5", "--c2": "3", "--alpha": "2", "--n1": "2",
+           "--n2": "3", "--replicates": "1", "--sweeps": "4", "--burnin": "1",
+           "--seed": "1", "--input": "in.csv", "--truth": "truth.csv",
+           "--outdir": "elsewhere", "--prior": "naive"}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in _TAKES for f in _VALUES])
+def test_each_command_takes_only_its_options(tmp_path, command, flag):
+    # 36 settable values over the five commands; an option a command's
+    # outputs do not depend on is a usage error, not a recorded no-op
+    argv = [command, flag, _VALUES[flag]]
+    if flag in _TAKES[command]:
+        default = vars(build_parser().parse_args([command]))
+        parsed = vars(build_parser().parse_args(argv))
+        changed = {k for k in parsed if parsed[k] != default[k]}
+        assert changed == {flag[2:].replace("-", "_")}
+    else:
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--outdir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 def test_underflowing_c1_exits_3(tmp_path, capsys):

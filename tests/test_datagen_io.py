@@ -270,7 +270,7 @@ _REPEATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.0, -0.0, -np.nan,
 
 @pytest.mark.parametrize("rows", [
     # repeats of signed zeros, NaNs of both signs, infinities, subnormals,
-    # in rows on both sides of the width where repeats are looked for
+    # in narrow and wide rows
     [_REPEATS * 5],
     [_REPEATS],
     [[0.5] * 62 + [-0.0, 0.0]],
